@@ -24,7 +24,7 @@ from .optim import AdamState, adam_step
 from .rng import substream
 
 __all__ = ["Normalizer", "TrainResult", "VsnpbConfig", "VsnpbModel", "VsnpbNet",
-           "fit_normalizer", "sequence_error", "train_vsnpb"]
+           "sequence_error", "train_vsnpb"]
 
 ENCODER_UNITS = (300, 150, 50, 50)
 LSTM_UNITS = (50, 50)
@@ -119,10 +119,6 @@ class Normalizer:
         norm = cls(arrays[f"{prefix}.shift"], arrays[f"{prefix}.scale"])
         norm.limit = np.asarray(arrays[f"{prefix}.limit"], dtype=np.float64)
         return norm
-
-
-def fit_normalizer(data: np.ndarray) -> Normalizer:
-    return Normalizer.fit(data)
 
 
 class VsnpbNet:
@@ -252,7 +248,7 @@ class VsnpbModel:
     def load(cls, path) -> "VsnpbModel":
         arrays, meta = load_arrays(path)
         config = VsnpbConfig(n_s=meta["n_s"], n_u=meta["n_u"], n_p=meta["n_p"])
-        params = {k[len("param."):]: Tensor(v, requires_grad=True)
+        params = {k[len("param."):]: Tensor(v)
                   for k, v in arrays.items() if k.startswith("param.")}
         return cls(config=config, params=params, pb_table=arrays["pb"],
                    state_names=list(meta["states"]),

@@ -77,7 +77,9 @@ def run_grasp_trial(world, model: VsnpbModel, codec, p: np.ndarray, *,
     The world should hold the initial posture with the object already
     placed.  A close event triggers a fixed open-loop retreat (lift by
     `lift` meters) before the closure outcome is read back; never
-    closing within max_ticks is a timeout Failure.
+    closing within max_ticks is a timeout Failure.  Only frames the
+    controller encodes are rendered: the closing tick and the retreat
+    step the world with render=False.
     """
     sc = world.scenario
     p = np.asarray(p, dtype=np.float64)
@@ -91,14 +93,16 @@ def run_grasp_trial(world, model: VsnpbModel, codec, p: np.ndarray, *,
     for tick in range(max_ticks):
         u, cmd, hidden, clipped = servo_step(model, s, u, p, hidden)
         clipped_any = clipped_any or clipped
-        obs = world.step(cmd)
-        s = codec.encode(obs.image[None])[0]
+        closing = cmd.gripper == 1.0
+        # the loop ends on the closing tick, so its frame is never read
+        obs = world.step(cmd, render=not closing)
         cmds.append(cmd.as_array())
         raws.append(u.copy())
         execs.append(obs.executed_joints)
-        if cmd.gripper == 1.0:
+        if closing:
             closed_tick = tick
             break
+        s = codec.encode(obs.image[None])[0]
     if closed_tick is None:
         return _result(Outcome.FAILED, True, None, clipped_any,
                        cmds, raws, execs)
@@ -113,7 +117,7 @@ def run_grasp_trial(world, model: VsnpbModel, codec, p: np.ndarray, *,
     for i in range(1, retreat_ticks + 1):
         a = i / retreat_ticks
         cmd = Command((1 - a) * q_close + a * q_lift, 1.0)
-        obs = world.step(cmd)
+        obs = world.step(cmd, render=False)
         cmds.append(cmd.as_array())
         raws.append(cmd.as_array())
         execs.append(obs.executed_joints)
@@ -145,7 +149,7 @@ def baseline_grasp_trial(world, spec) -> TrialResult:
     the back-projection assumes the nominal mounting, so any camera
     offset lands directly in the position estimate.  Orientation is
     taken as known.  Plans with nominal IK and runs the scripted pick
-    template blind; IK failure is a Failed outcome.
+    template blind, rendering no frame; IK failure is a Failed outcome.
     """
     sc = world.scenario
     obj = next((o for o in world.objects if o.spec.name == spec.name), None)
@@ -167,7 +171,7 @@ def baseline_grasp_trial(world, spec) -> TrialResult:
     cmds, execs = [], []
     closed_tick = None
     for tick, (cmd, phase) in enumerate(script):
-        obs = world.step(cmd)
+        obs = world.step(cmd, render=False)
         cmds.append(cmd.as_array())
         execs.append(obs.executed_joints)
         if closed_tick is None and cmd.gripper == 1.0:

@@ -104,35 +104,30 @@ class Capsule:
     color: tuple[float, float, float]
 
 
-def _gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable Gaussian with edge padding; symmetric kernel, radius 2*sigma."""
-    radius = max(1, int(np.ceil(2.0 * sigma)))
-    xs = np.arange(-radius, radius + 1, dtype=np.float64)
-    k = np.exp(-0.5 * (xs / sigma) ** 2)
-    k /= k.sum()
-    h, w = img.shape[:2]
-    pad = np.pad(img, ((radius, radius), (0, 0), (0, 0)), mode="edge")
-    img = sum(k[i] * pad[i:i + h] for i in range(k.size))
-    pad = np.pad(img, ((0, 0), (radius, radius), (0, 0)), mode="edge")
-    return sum(k[i] * pad[:, i:i + w] for i in range(k.size))
-
-
 class Renderer:
+    """Rasterizer with per-camera caches of the scene's static parts.
+
+    Rays depend only on the camera's orientation and intrinsics; the
+    empty table layer depends on the whole camera.  Both are computed
+    on first use and kept for the renderer's lifetime.  The table layer
+    is stored as a uint8 palette index (backdrop, color_a, color_b) plus
+    float64 depth and composed into a fresh buffer on every render, so
+    a cached render is byte-identical to a fresh renderer's.
+    """
+
     def __init__(self, table: TableSpec | None = None,
                  backdrop: tuple[float, float, float] = (0.09, 0.10, 0.12),
-                 light=(-0.35, 0.25, 0.9), supersample: int = 1,
-                 blur_px: float = 0.0):
+                 light=(-0.35, 0.25, 0.9), supersample: int = 1):
         if int(supersample) < 1:
             raise ValueError("supersample factor must be >= 1")
-        if blur_px < 0:
-            raise ValueError("blur radius cannot be negative")
         self.table = table or TableSpec()
-        self.backdrop = backdrop
         light = np.asarray(light, dtype=np.float64)
         self.light = light / np.linalg.norm(light)
         self.supersample = int(supersample)
-        self.blur_px = float(blur_px)
+        self._palette = np.array([backdrop, self.table.color_a, self.table.color_b],
+                                 dtype=np.float64)
         self._ray_cache: dict = {}
+        self._table_cache: dict[CameraModel, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- rays ---------------------------------------------------------
 
@@ -153,21 +148,27 @@ class Renderer:
 
     # -- primitives ---------------------------------------------------
 
-    def _draw_table(self, img, depth, cam: CameraModel, rays) -> None:
-        pos = np.asarray(cam.position)
-        dz = rays[..., 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = -pos[2] / dz
-        pts = pos + t[..., None] * rays
-        tb = self.table
-        hit = ((t > 0) & (dz < 0)
-               & (pts[..., 0] >= tb.x_range[0]) & (pts[..., 0] <= tb.x_range[1])
-               & (pts[..., 1] >= tb.y_range[0]) & (pts[..., 1] <= tb.y_range[1]))
-        cells = (np.floor(pts[..., 0] / tb.checker) + np.floor(pts[..., 1] / tb.checker))
-        odd = (cells.astype(np.int64) % 2).astype(bool)
-        color = np.where(odd[..., None], tb.color_b, tb.color_a)
-        img[hit] = color[hit]
-        depth[hit] = t[hit]
+    def _table_layer(self, cam: CameraModel, rays) -> tuple[np.ndarray, np.ndarray]:
+        """Palette index and depth of the empty table seen from `cam`."""
+        layer = self._table_cache.get(cam)
+        if layer is None:
+            pos = np.asarray(cam.position)
+            dz = rays[..., 2]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = -pos[2] / dz
+            pts = pos + t[..., None] * rays
+            tb = self.table
+            hit = ((t > 0) & (dz < 0)
+                   & (pts[..., 0] >= tb.x_range[0]) & (pts[..., 0] <= tb.x_range[1])
+                   & (pts[..., 1] >= tb.y_range[0]) & (pts[..., 1] <= tb.y_range[1]))
+            cells = (np.floor(pts[..., 0] / tb.checker) + np.floor(pts[..., 1] / tb.checker))
+            odd = cells.astype(np.int64) % 2
+            index = np.where(hit, 1 + odd, 0).astype(np.uint8)
+            depth = np.where(hit, t, np.inf)
+            index.flags.writeable = False
+            depth.flags.writeable = False
+            layer = self._table_cache[cam] = (index, depth)
+        return layer
 
     def _fill_face(self, img, depth, cam: CameraModel, rays,
                    quad_px: np.ndarray, plane_pt: np.ndarray, normal: np.ndarray,
@@ -267,12 +268,10 @@ class Renderer:
 
     def _render_float(self, cam: CameraModel, boxes: list[Box],
                       capsules: list[Capsule]) -> np.ndarray:
-        h, w = cam.height, cam.width
-        img = np.empty((h, w, 3), dtype=np.float64)
-        img[:] = self.backdrop
-        depth = np.full((h, w), np.inf)
         rays = self._rays(cam)
-        self._draw_table(img, depth, cam, rays)
+        index, table_depth = self._table_layer(cam, rays)
+        img = self._palette[index]
+        depth = table_depth.copy()
         for box in boxes:
             self._draw_box(img, depth, cam, rays, box)
         for cap in capsules:
@@ -286,9 +285,9 @@ class Renderer:
         resolution and box-averaged down, so sub-pixel motion moves
         edge intensities smoothly instead of flipping whole pixels.
         Scaling focal and size by k keeps the fine grid's k x k block
-        centers exactly on the base camera's pixel centers.  A nonzero
-        blur_px then applies a deterministic defocus at base resolution,
-        widening each edge's intensity ramp beyond one pixel.
+        centers exactly on the base camera's pixel centers.  The empty
+        table comes from the per-camera cache; boxes and capsules are
+        drawn over it on every call.
         """
         k = self.supersample
         if k > 1:
@@ -298,6 +297,4 @@ class Renderer:
             img = hi.reshape(cam.height, k, cam.width, k, 3).mean(axis=(1, 3))
         else:
             img = self._render_float(cam, boxes, capsules)
-        if self.blur_px > 0:
-            img = _gaussian_blur(img, self.blur_px)
         return np.clip(np.rint(img * 255.0), 0, 255).astype(np.uint8)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import importlib.resources
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -79,16 +80,17 @@ class Scenario:
     joint_noise_deg: float
     noise_seed: int
     supersample: int = 1
-    blur_px: float = 0.0
     codec: dict = field(default_factory=dict)
     model: dict = field(default_factory=dict)
     adapter: dict = field(default_factory=dict)
     servo: dict = field(default_factory=dict)
     presets: dict = field(default_factory=dict)
 
-    def make_renderer(self) -> Renderer:
-        return Renderer(self.table, supersample=self.supersample,
-                        blur_px=self.blur_px)
+    @cached_property
+    def renderer(self) -> Renderer:
+        """One renderer per scenario, so every world built from it
+        shares the per-camera ray and table caches."""
+        return Renderer(self.table, supersample=self.supersample)
 
     def grasp_tool_z(self, spec: ObjectSpec) -> float:
         return spec.height / 2.0 + self.finger_drop
@@ -96,9 +98,6 @@ class Scenario:
     def grasp_command_pose(self, spec: ObjectSpec, x: float, y: float, yaw: float):
         pos = np.array([x, y, self.grasp_tool_z(spec)])
         return pos, grasp_rotation(yaw)
-
-    def state_grid(self) -> list[str]:
-        return list(self.body_states.keys())
 
     def interpolated_state(self, name: str, a: str, b: str) -> BodyState:
         """Body state midway between two trained states (unseen premise)."""
@@ -203,7 +202,6 @@ def _parse(raw: dict) -> Scenario:
         joint_noise_deg=float(raw.get("noise", {}).get("joint_noise_deg", 0.0)),
         noise_seed=int(raw.get("noise", {}).get("seed", 0)),
         supersample=int(cam.get("supersample", 1)),
-        blur_px=float(cam.get("blur_px", 0.0)),
         codec=dict(raw.get("codec", {})),
         model=dict(raw.get("model", {})),
         adapter=dict(raw.get("adapter", {})),

@@ -158,7 +158,7 @@ class ArmWorld:
         self.geom = scenario.geometry
         self.body_state = body_state
         self.camera: CameraModel = scenario.base_camera.shifted(body_state.camera_offset)
-        self.renderer: Renderer = scenario.make_renderer()
+        self.renderer: Renderer = scenario.renderer
         self.max_aperture = scenario.gripper_max_aperture
         self.aperture_rate = scenario.gripper_rate
         self.grasp_margin = scenario.grasp_margin
@@ -238,7 +238,14 @@ class ArmWorld:
 
     # -- stepping -----------------------------------------------------
 
-    def step(self, cmd: Command) -> Observation:
+    def step(self, cmd: Command, render: bool = True) -> Observation:
+        """Advance one tick toward `cmd`.
+
+        With render=False the frame is skipped and the observation's
+        image is None; everything else, outcomes and noise draws
+        included, is what a rendered step produces, and a later
+        observe() renders the same frame.
+        """
         target = np.asarray(cmd.joint_targets, dtype=np.float64)
         clamped_joints = np.clip(target, JOINT_LIMITS[:, 0], JOINT_LIMITS[:, 1])
         g = min(1.0, max(0.0, cmd.gripper))
@@ -261,6 +268,9 @@ class ArmWorld:
         self.q_cmd = clamped_joints
         self.gripper_cmd = g
         self.tick += 1
+        if not render:
+            return Observation(image=None, executed_joints=self.executed_joints(),
+                               tick=self.tick, clamped=clamped)
         return self.observe(clamped=clamped)
 
     def _apply_substate(self, q_cmd_sub: np.ndarray, ap_sub: float) -> None:

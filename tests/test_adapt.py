@@ -7,7 +7,7 @@ import pytest
 
 from servopb.adapt import (AdapterConfig, ObservationBuffer, PbAdapter,
                            stream_episode)
-from servopb.model import VsnpbConfig, train_vsnpb
+from servopb.model import VsnpbConfig, VsnpbModel, train_vsnpb
 from servopb.toy import make_toy_dataset
 
 
@@ -120,6 +120,24 @@ class TestUpdateGating:
         stream_episode(ad, s_seq, u_seq)
         assert len(ad.log) > 0
         assert weight_digest(model) == before
+
+    def test_loaded_frozen_weights_adapt_bit_identically(self, toy_trained, tmp_path):
+        # a loaded model's weights are constants: the tape skips their
+        # gradients, and p must move exactly as with trainable weights
+        model, _ = toy_trained
+        model.save(tmp_path / "model.ckpt")
+        loaded = VsnpbModel.load(tmp_path / "model.ckpt")
+        assert any(t.requires_grad for t in model.params.values())
+        assert not any(t.requires_grad for t in loaded.params.values())
+        s_seq, u_seq = fresh_sequence(1, 24, model)
+        adapters = [PbAdapter(m) for m in (model, loaded)]
+        for ad in adapters:
+            stream_episode(ad, s_seq, u_seq)
+        trainable, frozen = adapters
+        assert len(frozen.log) > 0
+        np.testing.assert_array_equal(frozen.p, trainable.p)
+        assert [r.loss for r in frozen.log] == [r.loss for r in trainable.log]
+        assert [r.grad_norm for r in frozen.log] == [r.grad_norm for r in trainable.log]
 
     def test_p0_and_reset(self, toy_trained):
         model, _ = toy_trained

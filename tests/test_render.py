@@ -115,3 +115,25 @@ class TestRenderer:
             us.append(np.nonzero(mask)[1].mean())
         diffs = np.diff(us)
         assert np.all(diffs > 0) or np.all(diffs < 0)
+
+
+class TestTableCache:
+    """The empty table is drawn once per camera; cached frames must be
+    byte-equal to a fresh renderer's, whatever was rendered before."""
+
+    @pytest.mark.parametrize("table", [
+        TableSpec(),
+        TableSpec(color_a=(0.52, 0.47, 0.40), color_b=(0.52, 0.47, 0.40)),
+    ], ids=["checkered", "uniform"])
+    def test_cached_render_equals_fresh(self, camera, table):
+        box = axis_box([0.24, 0.0, 0.025], [0.05, 0.0125, 0.025], (0.2, 0.4, 0.8))
+        cap = Capsule(np.array([0.0, 0.0, 0.0]), np.array([0.1, 0.0, 0.25]),
+                      0.02, (0.3, 0.32, 0.35))
+        cached = Renderer(table, supersample=4)
+        # the scenario grid's three camera offsets, revisited out of order
+        for dy, scene in [(0.0, ([box], [cap])), (0.02, ([], [])),
+                          (0.04, ([box], [])), (0.0, ([], [])),
+                          (0.04, ([], [cap])), (0.02, ([box], [cap]))]:
+            cam = camera.shifted(np.array([0.0, dy, 0.0]))
+            fresh = Renderer(table, supersample=4).render(cam, *scene)
+            assert cached.render(cam, *scene).tobytes() == fresh.tobytes()

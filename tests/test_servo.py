@@ -14,7 +14,7 @@ from servopb.rng import substream
 from servopb.servo import (baseline_grasp_trial, pixel_to_plane,
                            run_grasp_trial, servo_step)
 from servopb.world import (ArmWorld, BodyState, Command, ObjectSpec, Outcome,
-                           fk_nominal, load_default)
+                           Renderer, fk_nominal, load_default)
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +54,37 @@ class IdentityCodec:
         out = np.zeros((frames.shape[0], self.dim))
         out[:, :3] = flat
         return out
+
+
+class CloseAt:
+    """Model whose gripper output reads closed from control tick `tick` on."""
+
+    def __init__(self, model, tick):
+        self._model, self._tick, self._calls = model, tick, 0
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+    def predict(self, *args, **kwargs):
+        s, u, hidden, clipped = self._model.predict(*args, **kwargs)
+        u = u.copy()
+        u[6] = 1.0 if self._calls >= self._tick else 0.0
+        self._calls += 1
+        return s, u, hidden, clipped
+
+
+@pytest.fixture
+def render_count(monkeypatch):
+    """Counts Renderer.render calls made while the test runs."""
+    calls = []
+    render = Renderer.render
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return render(self, *args, **kwargs)
+
+    monkeypatch.setattr(Renderer, "render", counted)
+    return calls
 
 
 class TestServoStep:
@@ -163,6 +194,26 @@ class TestGraspTrial:
         assert res.timeout is False
 
 
+    @pytest.mark.parametrize("close_tick", [0, 3, None])
+    def test_every_rendered_frame_is_encoded(self, sc, render_count, close_tick):
+        encoded = []
+
+        class CountingCodec(IdentityCodec):
+            def encode(self, frames):
+                encoded.append(frames.shape[0])
+                return super().encode(frames)
+
+        model = CloseAt(random_model(seed=11), 10**6 if close_tick is None else close_tick)
+        world = ArmWorld(sc, sc.body_states["c2-j1"])
+        res = run_grasp_trial(world, model, CountingCodec(), np.zeros(2),
+                              max_ticks=6, retreat_ticks=3)
+        assert res.closed_tick == close_tick
+        assert res.ticks == (6 if close_tick is None else close_tick + 1 + 3)
+        # the initial frame plus one per open-gripper tick
+        assert len(render_count) == sum(encoded) == 1 + (6 if close_tick is None
+                                                          else close_tick)
+
+
 class TestPixelToPlane:
     def test_roundtrip_through_same_camera(self, sc):
         cam = sc.base_camera
@@ -206,6 +257,14 @@ class TestBaseline:
         world.place_object(spec, 0.26, 0.10, 0.0)
         res = baseline_grasp_trial(world, spec)
         assert res.outcome is Outcome.FAILED
+
+    def test_renders_no_frame(self, sc, render_count):
+        world = ArmWorld(sc, sc.body_states["c2-j0"])
+        spec = sc.objects["L-25"]
+        world.place_object(spec, 0.24, 0.03, 0.2)
+        res = baseline_grasp_trial(world, spec)
+        assert res.ticks == sc.timing.total_ticks
+        assert render_count == []
 
     def test_never_touches_the_network(self):
         names = set(inspect.signature(baseline_grasp_trial).parameters)

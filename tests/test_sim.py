@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,42 @@ class TestDeterminism:
         ranks = np.argsort(np.argsort(us))
         corr = np.corrcoef(ranks, np.arange(5))[0, 1]
         assert abs(corr) == pytest.approx(1.0)
+
+
+class TestSkippedRender:
+    @pytest.mark.parametrize("noise_deg", [0.0, 0.3])
+    def test_unrendered_step_then_observe_matches_rendered_step(self, sc, noise_deg):
+        scn = replace(sc, joint_noise_deg=noise_deg)
+        spec = scn.objects["L-25"]
+        qg = grasp_q(scn, 0.24, 0.0, 0.0)
+        q_far = scn.home_q.copy()
+        q_far[0] = 9.0                      # out of limits: clamped
+        cmds = ([Command(scn.home_q + i / 3 * (qg - scn.home_q), 0.0) for i in range(1, 4)]
+                + [Command(qg, 1.0), Command(q_far, 1.0), Command(scn.home_q, 1.0)])
+        worlds = []
+        for _ in range(2):
+            world = ArmWorld(scn, scn.body_states["c2-j1"])
+            world.place_object(spec, 0.24, 0.0, 0.0)
+            worlds.append(world)
+        shown, skipped = worlds
+        clamped = []
+        for cmd in cmds:
+            a = shown.step(cmd)
+            b = skipped.step(cmd, render=False)
+            assert b.image is None
+            np.testing.assert_array_equal(a.executed_joints, b.executed_joints)
+            assert (a.tick, a.clamped) == (b.tick, b.clamped)
+            assert shown.last_outcome is skipped.last_outcome
+            assert a.image.tobytes() == skipped.observe().image.tobytes()
+            clamped.append(a.clamped)
+        # the sequence exercises a closure and a clamped command
+        assert shown.last_outcome is not None
+        assert any(clamped)
+
+    def test_worlds_share_the_scenario_renderer(self, sc):
+        a = ArmWorld(sc, sc.body_states["c1-j0"])
+        b = ArmWorld(sc, sc.body_states["c3-j1"])
+        assert a.renderer is b.renderer is sc.renderer
 
 
 class TestStepMechanics:
