@@ -7,8 +7,9 @@ bias only, against the prediction error of the visual stream.  Command
 prediction error is deliberately excluded from the loss because the
 commands come from the controller itself.
 
-Buffered steps are replayed as short teacher-forced windows re-unrolled
-from a zero hidden state, which keeps the loss well defined while p
+Buffered steps are replayed as short teacher-forced windows through
+`VsnpbNet.unroll`, the same pass training descends, re-run from a zero
+hidden state on every epoch, which keeps the loss well defined while p
 moves between epochs.
 """
 
@@ -154,10 +155,10 @@ class PbAdapter:
         s_n = model.norm_s.normalize(s_raw)
         u_n = model.norm_u.normalize(u_raw)
         starts = self._window_starts(len(self.buffer))
-        # (n_win, n_thre, dim) stacks of teacher-forcing windows
-        s_win = np.stack([s_n[i:i + cfg.n_thre] for i in starts])
-        u_win = np.stack([u_n[i:i + cfg.n_thre] for i in starts])
-        tgt_np = s_win[:, 1:].transpose(1, 0, 2)    # (n_thre-1, n_win, n_s)
+        # (n_thre, n_win, dim) time-major stacks of teacher-forcing windows
+        s_win = np.stack([s_n[i:i + cfg.n_thre] for i in starts], axis=1)
+        u_win = np.stack([u_n[i:i + cfg.n_thre] for i in starts], axis=1)
+        target = Tensor(s_win[1:])
         n_win = len(starts)
 
         p_before = self.p.copy()
@@ -169,16 +170,8 @@ class PbAdapter:
             tape = Tape()
             with recording(tape):
                 p_rows = ad.concat([p_t] * n_win, axis=0)
-                hidden = model.net.zero_hidden(n_win)
-                outs = []
-                for t in range(cfg.n_thre - 1):
-                    s_t = Tensor(s_win[:, t])
-                    u_t = Tensor(u_win[:, t])
-                    s_p, _, hidden = model.net.step(model.params, s_t, u_t,
-                                                    p_rows, hidden)
-                    outs.append(s_p)
-                pred = ad.stack(outs)
-                loss = ad.mean(ad.square(ad.sub(pred, Tensor(tgt_np))))
+                s_pred, _ = model.net.unroll(model.params, s_win, u_win, p_rows)
+                loss = ad.mean(ad.square(ad.sub(s_pred, target)))
             if not np.isfinite(loss.data).all():
                 self.p = p_before
                 raise FloatingPointError("non-finite adaptation loss; p unchanged")

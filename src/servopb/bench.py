@@ -150,28 +150,24 @@ def _scenario_digest(scenario_path) -> str:
     return file_digest(Path(scenario_path))
 
 
-def _open_manifest(run: Path, sc_digest: str, seed: int) -> dict:
-    path = _manifest_path(run)
-    if path.exists():
-        manifest = json.loads(path.read_text())
-        if manifest["scenario_checksum"] != sc_digest:
-            raise StageError("scenario file changed under an existing run",
-                             {"expected": manifest["scenario_checksum"],
-                              "found": sc_digest})
-        if manifest["seed"] != seed:
-            raise StageError("seed differs from the run's recorded seed",
-                             {"expected": manifest["seed"], "found": seed})
-        return manifest
-    return {"scenario_checksum": sc_digest, "seed": seed, "stages": {}}
+def _open_manifest(run: Path, scenario_path, seed: int, *,
+                   create: bool = False) -> dict:
+    """The run's manifest, checked against this call's scenario and seed.
 
-
-def _check_scenario(manifest: dict, scenario_path) -> None:
-    found = _scenario_digest(scenario_path)
-    if manifest["scenario_checksum"] != found:
+    With `create`, a run without a manifest starts a fresh one."""
+    sc_digest = _scenario_digest(scenario_path)
+    if create and not _manifest_path(run).exists():
+        return {"scenario_checksum": sc_digest, "seed": seed, "stages": {}}
+    manifest = load_manifest(run)
+    if manifest["scenario_checksum"] != sc_digest:
         raise StageError("scenario does not match the one this run was "
                          "collected with",
                          {"expected": manifest["scenario_checksum"],
-                          "found": found})
+                          "found": sc_digest})
+    if manifest["seed"] != seed:
+        raise StageError("seed differs from the run's recorded seed",
+                         {"expected": manifest["seed"], "found": seed})
+    return manifest
 
 
 def _require(manifest: dict, stage: str) -> dict:
@@ -210,12 +206,14 @@ def stage_collect(run, sc, seed: int, preset: Preset, *,
     """Collect the episode corpus and open the run's manifest."""
     run = Path(run)
     run.mkdir(parents=True, exist_ok=True)
-    manifest = _open_manifest(run, _scenario_digest(scenario_path), seed)
+    manifest = _open_manifest(run, scenario_path, seed, create=True)
     episodes_dir = run / "episodes"
     episodes_dir.mkdir(exist_ok=True)
     episodes, log = collect_dataset(sc, seed, states=preset.states,
                                     objects=preset.objects,
                                     trials=preset.trials_per_cell)
+    for stale in episodes_dir.glob("*.bin"):   # from an earlier collect
+        stale.unlink()
     for ep in episodes:
         save_raw(episodes_dir / f"{ep.tag}.bin", ep)
         if progress is not None:
@@ -244,8 +242,7 @@ def stage_codec(run, sc, seed: int, preset: Preset, *, scenario_path=None,
                 progress=None) -> dict:
     """Train the autoencoder, then encode every episode to latents."""
     run = Path(run)
-    manifest = load_manifest(run)
-    _check_scenario(manifest, scenario_path)
+    manifest = _open_manifest(run, scenario_path, seed)
     dataset = _require(manifest, "dataset")
     if dataset_digest(run / "episodes", "*.bin") != dataset["checksum"]:
         raise StageError("dataset changed since collection",
@@ -263,6 +260,8 @@ def stage_codec(run, sc, seed: int, preset: Preset, *, scenario_path=None,
     result.model.save(run / "codec.ckpt")
     latents_dir = run / "latents"
     latents_dir.mkdir(exist_ok=True)
+    for stale in latents_dir.glob("*.jsonl"):
+        stale.unlink()
     for raw in raws:
         save_episode(latents_dir / f"{raw.tag}.jsonl",
                      encode_raw(raw, result.model))
@@ -280,8 +279,7 @@ def stage_train(run, sc, seed: int, preset: Preset, *, scenario_path=None,
                 progress=None) -> dict:
     """Train the predictor and PB table on the encoded corpus."""
     run = Path(run)
-    manifest = load_manifest(run)
-    _check_scenario(manifest, scenario_path)
+    manifest = _open_manifest(run, scenario_path, seed)
     codec_entry = _require(manifest, "codec")
     _verify_artifact(run, manifest, "codec", "codec.ckpt")
     if dataset_digest(run / "latents", "*.jsonl") != codec_entry["latents_checksum"]:
@@ -324,8 +322,7 @@ def stage_adapt(run, sc, seed: int, state_name: str, *, n_episodes: int = 3,
     The state may be a grid name or an interpolated 'a~b' midpoint; the
     estimate starts at zero and persists across the episodes."""
     run = Path(run)
-    manifest = load_manifest(run)
-    _check_scenario(manifest, scenario_path)
+    manifest = _open_manifest(run, scenario_path, seed)
     model, codec = _load_model_and_codec(run, manifest)
     state = resolve_state(sc, state_name)
     spec = sc.objects[object_name]
@@ -401,8 +398,7 @@ def stage_eval(run, sc, seed: int, *, states, objects, trials: int,
     Trial placements are shared across modes so the comparison is
     paired; every mode sees the identical object pose in a fresh world."""
     run = Path(run)
-    manifest = load_manifest(run)
-    _check_scenario(manifest, scenario_path)
+    manifest = _open_manifest(run, scenario_path, seed)
     model, codec = _load_model_and_codec(run, manifest)
     max_ticks = int(sc.servo["max_ticks"])
     lift = float(sc.servo["lift_mm"]) / 1000.0

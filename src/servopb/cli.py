@@ -19,7 +19,7 @@ __all__ = ["build_parser", "main"]
 
 
 _SHARED_DEFAULTS = {"scenario": None, "seed": 0, "out": None,
-                    "preset": "smoke", "workers": 1, "quiet": False}
+                    "preset": "smoke", "quiet": False}
 
 
 def _shared_flags() -> argparse.ArgumentParser:
@@ -31,9 +31,6 @@ def _shared_flags() -> argparse.ArgumentParser:
     p.add_argument("--out", help="run directory (required)")
     p.add_argument("--preset",
                    help="preset name from the scenario (default: smoke)")
-    p.add_argument("--workers", type=int,
-                   help="worker count; stages currently execute serially, "
-                        "values above 1 are accepted and ignored")
     p.add_argument("--quiet", action="store_true",
                    help="suppress progress lines")
     return p
@@ -92,9 +89,6 @@ def main(argv=None) -> int:
     if args.out is None:
         return _fail({"error": "BadArgument",
                       "message": "--out is required"}, 2)
-    if args.workers < 1:
-        return _fail({"error": "BadArgument",
-                      "message": "--workers must be at least 1"}, 2)
     progress = None if args.quiet else lambda msg: print(msg, flush=True)
     try:
         sc, sc_path = load_scenario_arg(args.scenario)

@@ -27,6 +27,7 @@ __all__ = ["CollectionError", "collect_dataset", "collect_episode",
            "sample_placement", "scripted_commands"]
 
 _MAX_PLACEMENT_DRAWS = 50
+_MAX_REJECTS = 10         # failed episodes tolerated per (state, object) cell
 
 
 class CollectionError(RuntimeError):
@@ -157,8 +158,8 @@ def sample_placement(sc, spec, rng, used: set | None = None,
 
 
 def collect_dataset(sc, root_seed: int, *, states: Sequence[str] | None = None,
-                    objects: Sequence[str] | None = None, trials: int = 5,
-                    max_rejects: int = 10) -> tuple[list[RawEpisode], list[str]]:
+                    objects: Sequence[str] | None = None,
+                    trials: int = 5) -> tuple[list[RawEpisode], list[str]]:
     """Collect `trials` episodes per (state, object) cell.
 
     Deterministic given `root_seed`: placements come from per-cell
@@ -186,7 +187,7 @@ def collect_dataset(sc, root_seed: int, *, states: Sequence[str] | None = None,
                 except CollectionError as err:
                     rejects += 1
                     log.append(f"reject [{sname}/{oname}]: {err}")
-                    if rejects > max_rejects:
+                    if rejects > _MAX_REJECTS:
                         raise CollectionError(
                             f"cell {sname}/{oname}: too many rejects") from err
                     if world.held_object() is None:

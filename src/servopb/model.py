@@ -6,6 +6,11 @@ differs between states.  Training updates weights and all p_k
 simultaneously by gradient descent; at run time p is the only thing
 that changes, so premise identification reduces to moving a 2-vector.
 
+`VsnpbNet.unroll` is the one teacher-forced pass over a sequence.
+Training descends its error in weights and PB, online adaptation
+(adapt.py) in p alone, and `sequence_error` reports it for one
+episode: exactly the training loss of that episode.
+
 predict() speaks denormalized quantities; min-max normalization to
 [-0.9, 0.9] happens inside, fitted once over the whole training set.
 """
@@ -57,9 +62,11 @@ class Normalizer:
 
     Fitted min-max so the data range lands on [-HEADROOM, +HEADROOM];
     constant dimensions get scale 1 and shift equal to the constant.
+    `limit` is where the training extremes land after mapping (0 for
+    constants); normalize_clipped() clamps to it.
     """
 
-    def __init__(self, shift: np.ndarray, scale: np.ndarray):
+    def __init__(self, shift: np.ndarray, scale: np.ndarray, limit=HEADROOM):
         shift = np.asarray(shift, dtype=np.float64)
         scale = np.asarray(scale, dtype=np.float64)
         if shift.shape != scale.shape or shift.ndim != 1:
@@ -68,8 +75,8 @@ class Normalizer:
             raise ValueError("scale must be positive")
         self.shift = shift
         self.scale = scale
-        # where the training extremes land after mapping (0 for constants)
-        self.limit = None
+        self.limit = np.broadcast_to(np.asarray(limit, dtype=np.float64),
+                                     shift.shape).copy()
 
     @classmethod
     def fit(cls, data: np.ndarray) -> "Normalizer":
@@ -83,14 +90,7 @@ class Normalizer:
         constant = span == 0
         scale = np.where(constant, 1.0, span / (2.0 * HEADROOM))
         shift = np.where(constant, lo, (lo + hi) / 2.0)
-        norm = cls(shift, scale)
-        norm.limit = np.where(constant, 0.0, HEADROOM)
-        return norm
-
-    def _limits(self) -> np.ndarray:
-        if self.limit is None:
-            return np.full_like(self.shift, HEADROOM)
-        return self.limit
+        return cls(shift, scale, np.where(constant, 0.0, HEADROOM))
 
     @property
     def dim(self) -> int:
@@ -105,20 +105,19 @@ class Normalizer:
     def normalize_clipped(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
         """Normalize and clamp into the fitted training range."""
         y = self.normalize(x)
-        lim = self._limits()
+        lim = self.limit
         clipped = bool(np.any(y < -lim) or np.any(y > lim))
         return np.clip(y, -lim, lim), clipped
 
     def arrays(self, prefix: str) -> dict[str, np.ndarray]:
         return {f"{prefix}.shift": self.shift.copy(),
                 f"{prefix}.scale": self.scale.copy(),
-                f"{prefix}.limit": self._limits().copy()}
+                f"{prefix}.limit": self.limit.copy()}
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray], prefix: str) -> "Normalizer":
-        norm = cls(arrays[f"{prefix}.shift"], arrays[f"{prefix}.scale"])
-        norm.limit = np.asarray(arrays[f"{prefix}.limit"], dtype=np.float64)
-        return norm
+        return cls(arrays[f"{prefix}.shift"], arrays[f"{prefix}.scale"],
+                   arrays[f"{prefix}.limit"])
 
 
 class VsnpbNet:
@@ -166,6 +165,24 @@ class VsnpbNet:
         s_pred = ad.narrow(out, 1, 0, c.n_s)
         u_pred = ad.narrow(out, 1, c.n_s, c.n_u)
         return s_pred, u_pred, new_hidden
+
+    def unroll(self, params: dict[str, Tensor], s: np.ndarray, u: np.ndarray,
+               p: Tensor) -> tuple[Tensor, Tensor]:
+        """Teacher-forced pass from a zero hidden state.
+
+        s (T,B,n_s) and u (T,B,n_u) are normalized, time-major sequences;
+        p is the (B,n_p) premise.  Returns the stacked predictions
+        (T-1,B,n_s) and (T-1,B,n_u) for ticks 1..T-1, each made from the
+        observed pair one tick earlier.
+        """
+        hidden = self.zero_hidden(p.shape[0])
+        s_out, u_out = [], []
+        for t in range(s.shape[0] - 1):
+            s_p, u_p, hidden = self.step(params, Tensor(s[t]), Tensor(u[t]),
+                                         p, hidden)
+            s_out.append(s_p)
+            u_out.append(u_p)
+        return ad.stack(s_out), ad.stack(u_out)
 
 
 @dataclass
@@ -217,24 +234,6 @@ class VsnpbModel:
         u_next = self.norm_u.denormalize(u_pred.data[0])
         return s_next, u_next, hidden, clipped
 
-    def unroll(self, s_seq: np.ndarray, u_seq: np.ndarray, p: np.ndarray):
-        """Teacher-forced pass over a whole sequence in one call.
-
-        Returns (s_preds, u_preds) of length T-1: predictions for
-        ticks 1..T-1 given observed pairs at 0..T-2.
-        """
-        s_seq = np.asarray(s_seq, dtype=np.float64)
-        u_seq = np.asarray(u_seq, dtype=np.float64)
-        if s_seq.shape[0] != u_seq.shape[0] or s_seq.shape[0] < 2:
-            raise ValueError("need equal-length sequences of at least 2 ticks")
-        hidden = self.zero_hidden(1)
-        s_out, u_out = [], []
-        for t in range(s_seq.shape[0] - 1):
-            s_next, u_next, hidden, _ = self.predict(s_seq[t], u_seq[t], p, hidden)
-            s_out.append(s_next)
-            u_out.append(u_next)
-        return np.array(s_out), np.array(u_out)
-
     def save(self, path) -> None:
         arrays = {f"param.{k}": v.data.copy() for k, v in self.params.items()}
         arrays["pb"] = self.pb_table.copy()
@@ -256,13 +255,30 @@ class VsnpbModel:
                    norm_u=Normalizer.from_arrays(arrays, "norm_u"))
 
 
+def _unroll_loss(net: VsnpbNet, params, s_n: np.ndarray, u_n: np.ndarray,
+                 p: Tensor, target: Tensor) -> Tensor:
+    """Training loss: MSE of both predicted streams against `target`."""
+    s_pred, u_pred = net.unroll(params, s_n, u_n, p)
+    pred = ad.concat([s_pred, u_pred], axis=2)             # (T-1, B, D_out)
+    return ad.mean(ad.square(ad.sub(pred, target)))
+
+
 def sequence_error(model: VsnpbModel, s_seq: np.ndarray, u_seq: np.ndarray,
                    p: np.ndarray) -> float:
-    """Normalized-space MSE of teacher-forced prediction under premise p."""
-    s_pred, u_pred = model.unroll(s_seq, u_seq, p)
-    ds = model.norm_s.normalize(s_pred) - model.norm_s.normalize(s_seq[1:])
-    du = model.norm_u.normalize(u_pred) - model.norm_u.normalize(u_seq[1:])
-    return float(np.concatenate([ds, du], axis=1).__pow__(2).mean())
+    """Training loss of one raw (T, dim) episode under premise p.
+
+    Normalized-space MSE of the teacher-forced predictions of both
+    streams, computed exactly as train_vsnpb computes a batch's loss."""
+    s_seq = np.asarray(s_seq, dtype=np.float64)
+    u_seq = np.asarray(u_seq, dtype=np.float64)
+    if s_seq.shape[0] != u_seq.shape[0] or s_seq.shape[0] < 2:
+        raise ValueError("need equal-length sequences of at least 2 ticks")
+    s_n = model.norm_s.normalize(s_seq)[:, None]
+    u_n = model.norm_u.normalize(u_seq)[:, None]
+    target = Tensor(np.concatenate([s_n[1:], u_n[1:]], axis=2))
+    p_t = Tensor(np.asarray(p, dtype=np.float64)[None, :])
+    return float(_unroll_loss(model.net, model.params, s_n, u_n, p_t,
+                              target).data)
 
 
 @dataclass
@@ -280,14 +296,14 @@ def _gather_pb(pb: Tensor, idx: np.ndarray) -> Tensor:
 def train_vsnpb(latents: np.ndarray, commands: np.ndarray, state_idx: np.ndarray,
                 state_names: list[str], *, config: VsnpbConfig | None = None,
                 seed: int = 0, epochs: int = 300, batch_size: int = 8,
-                lr: float = 1e-3, bptt_window: int | None = None,
-                progress=None) -> TrainResult:
+                lr: float = 1e-3, progress=None) -> TrainResult:
     """Joint optimization of weights and the per-state PB table.
 
     latents (B,T,n_s), commands (B,T,n_u) are raw (denormalized)
     sequences; state_idx (B,) maps each to its body-state row.  All
     p_k start at zero.  Loss is MSE over both predicted streams across
-    the full unrolled episode (truncate with bptt_window if set).
+    the full unrolled episode.  `progress`, if given, receives one line
+    per epoch.
     """
     s_all = np.asarray(latents, dtype=np.float64)
     u_all = np.asarray(commands, dtype=np.float64)
@@ -315,7 +331,7 @@ def train_vsnpb(latents: np.ndarray, commands: np.ndarray, state_idx: np.ndarray
     params = net.init_params(substream(seed, "vsnpb", "init"))
     params["pb"] = Tensor(np.zeros((n_states, cfg.n_p)), requires_grad=True)
     opt = AdamState(lr=lr)
-    n_ep, ticks = s_all.shape[0], s_all.shape[1]
+    n_ep = s_all.shape[0]
     losses = []
     pb_history = [params["pb"].data.copy()]
     for epoch in range(epochs):
@@ -323,23 +339,12 @@ def train_vsnpb(latents: np.ndarray, commands: np.ndarray, state_idx: np.ndarray
         batch_losses = []
         for start in range(0, n_ep, batch_size):
             rows = perm[start:start + batch_size]
-            b = len(rows)
             tape = Tape()
             with recording(tape):
                 p_rows = _gather_pb(params["pb"], k_all[rows])
-                hidden = net.zero_hidden(b)
-                outs = []
-                for t in range(ticks - 1):
-                    if bptt_window and t > 0 and t % bptt_window == 0:
-                        hidden = [(Tensor(h.data), Tensor(c.data))
-                                  for h, c in hidden]
-                    s_t = Tensor(s_n[rows, t])
-                    u_t = Tensor(u_n[rows, t])
-                    s_p, u_p, hidden = net.step(params, s_t, u_t, p_rows, hidden)
-                    outs.append(ad.concat([s_p, u_p], axis=1))
-                pred = ad.stack(outs)                      # (T-1, b, D_out)
-                tgt = Tensor(target[rows].transpose(1, 0, 2))
-                loss = ad.mean(ad.square(ad.sub(pred, tgt)))
+                loss = _unroll_loss(net, params, s_n[rows].transpose(1, 0, 2),
+                                    u_n[rows].transpose(1, 0, 2), p_rows,
+                                    Tensor(target[rows].transpose(1, 0, 2)))
             grads = backward(tape, loss)
             gdict = {name: grads.get(t) for name, t in params.items()}
             params, opt, applied = adam_step(params, gdict, opt)
@@ -350,7 +355,7 @@ def train_vsnpb(latents: np.ndarray, commands: np.ndarray, state_idx: np.ndarray
         losses.append(float(np.mean(batch_losses)))
         pb_history.append(params["pb"].data.copy())
         if progress is not None:
-            progress(epoch, losses[-1])
+            progress(f"model epoch {epoch + 1}/{epochs} loss {losses[-1]:.5f}")
 
     pb_table = params.pop("pb").data.copy()
     model = VsnpbModel(config=cfg, params=params, pb_table=pb_table,

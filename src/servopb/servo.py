@@ -164,10 +164,7 @@ def baseline_grasp_trial(world, spec) -> TrialResult:
     try:
         script = scripted_commands(sc, spec, est[0], est[1], obj.yaw, "pick")
     except IkError:
-        empty = np.zeros((0, 7))
-        return TrialResult(outcome=Outcome.FAILED, ticks=0, timeout=False,
-                           closed_tick=None, clipped=False, commands=empty,
-                           raw_commands=empty.copy(), executed=np.zeros((0, 6)))
+        return _result(Outcome.FAILED, False, None, False, [], [], [])
     cmds, execs = [], []
     closed_tick = None
     for tick, (cmd, phase) in enumerate(script):
@@ -177,8 +174,4 @@ def baseline_grasp_trial(world, spec) -> TrialResult:
         if closed_tick is None and cmd.gripper == 1.0:
             closed_tick = tick
     outcome = world.last_outcome if world.last_outcome is not None else Outcome.FAILED
-    arr = np.array(cmds).reshape(-1, 7)
-    return TrialResult(outcome=outcome, ticks=arr.shape[0], timeout=False,
-                       closed_tick=closed_tick, clipped=False, commands=arr,
-                       raw_commands=arr.copy(),
-                       executed=np.array(execs).reshape(-1, 6))
+    return _result(outcome, False, closed_tick, False, cmds, cmds, execs)

@@ -61,6 +61,11 @@ JOINT_LIMITS = np.array([
     [-1.6, 1.6],
 ])
 
+# ik_nominal stops once both residuals are below tolerance
+_IK_POS_TOL = 1e-8    # m
+_IK_ROT_TOL = 1e-6    # rad
+_IK_MAX_ITER = 200
+
 
 def _rz(q: float) -> np.ndarray:
     c, s = np.cos(q), np.sin(q)
@@ -182,9 +187,7 @@ def _topdown_seed(target_pos: np.ndarray, target_rot: np.ndarray,
 
 def ik_nominal(target_pos: np.ndarray, target_rot: np.ndarray,
                q0: np.ndarray | None = None,
-               geom: ArmGeometry = DEFAULT_GEOMETRY,
-               pos_tol: float = 1e-8, rot_tol: float = 1e-6,
-               max_iter: int = 200) -> np.ndarray:
+               geom: ArmGeometry = DEFAULT_GEOMETRY) -> np.ndarray:
     """Inverse kinematics for a full 6-D pose.
 
     Top-down targets start from the closed-form solution; everything
@@ -208,12 +211,12 @@ def ik_nominal(target_pos: np.ndarray, target_rot: np.ndarray,
             q = np.array([np.arctan2(target_pos[1], target_pos[0]), -0.4, 0.3, 1.2, 0.0, 0.47])
 
     best_err = np.inf
-    for _ in range(max_iter):
+    for _ in range(_IK_MAX_ITER):
         p, r = fk_nominal(q, geom)
         e = np.concatenate([target_pos - p, _rot_error(r, target_rot)])
         pos_err = np.linalg.norm(e[:3])
         rot_err = np.linalg.norm(e[3:])
-        if pos_err < pos_tol and rot_err < rot_tol:
+        if pos_err < _IK_POS_TOL and rot_err < _IK_ROT_TOL:
             return q
         best_err = min(best_err, pos_err)
         lam = min(0.05, max(1e-4, 0.3 * np.linalg.norm(e)))

@@ -17,6 +17,9 @@ import numpy as np
 
 __all__ = ["Box", "CameraModel", "Capsule", "Renderer", "TableSpec"]
 
+BACKDROP = (0.09, 0.10, 0.12)    # color where no ray meets the table
+LIGHT = np.array([-0.35, 0.25, 0.9]) / np.linalg.norm([-0.35, 0.25, 0.9])
+
 
 @dataclass(frozen=True)
 class CameraModel:
@@ -115,16 +118,12 @@ class Renderer:
     a cached render is byte-identical to a fresh renderer's.
     """
 
-    def __init__(self, table: TableSpec | None = None,
-                 backdrop: tuple[float, float, float] = (0.09, 0.10, 0.12),
-                 light=(-0.35, 0.25, 0.9), supersample: int = 1):
+    def __init__(self, table: TableSpec | None = None, supersample: int = 1):
         if int(supersample) < 1:
             raise ValueError("supersample factor must be >= 1")
         self.table = table or TableSpec()
-        light = np.asarray(light, dtype=np.float64)
-        self.light = light / np.linalg.norm(light)
         self.supersample = int(supersample)
-        self._palette = np.array([backdrop, self.table.color_a, self.table.color_b],
+        self._palette = np.array([BACKDROP, self.table.color_a, self.table.color_b],
                                  dtype=np.float64)
         self._ray_cache: dict = {}
         self._table_cache: dict[CameraModel, tuple[np.ndarray, np.ndarray]] = {}
@@ -224,7 +223,7 @@ class Renderer:
             normal = sgn * box.rot[:, axis]
             if normal @ (np.asarray(cam.position) - corners[idx[0]]) <= 0:
                 continue  # back face
-            shade = 0.42 + 0.58 * max(0.0, float(normal @ self.light))
+            shade = 0.42 + 0.58 * max(0.0, float(normal @ LIGHT))
             self._fill_face(img, depth, cam, rays, px[list(idx)],
                             corners[idx[0]], normal, np.clip(base * shade, 0, 1))
 

@@ -23,6 +23,8 @@ from .sim import BodyState, ObjectSpec
 
 __all__ = ["Scenario", "load_default", "load_scenario"]
 
+_CAMERA_OFFSET_DIR = np.array([0.0, 1.0, 0.0])   # body-state camera shifts, +y
+
 
 @dataclass(frozen=True)
 class PlacementSector:
@@ -112,19 +114,13 @@ def _build_body_states(raw: dict, sag_gain: float) -> dict[str, BodyState]:
     states: dict[str, BodyState] = {}
     cam_offsets = raw["camera_offsets_mm"]
     joint_sets = raw["joint_offsets_deg"]
-    direction = np.asarray(raw.get("camera_offset_dir", [0.0, 1.0, 0.0]),
-                           dtype=np.float64)
-    norm = np.linalg.norm(direction)
-    if norm == 0:
-        raise ValueError("camera_offset_dir must be a nonzero vector")
-    direction = direction / norm
     for ci, cam_mm in enumerate(cam_offsets, start=1):
         for jname, joffs in joint_sets.items():
             name = f"c{ci}-{jname}"
             states[name] = BodyState(
                 name=name,
                 joint_offset=np.deg2rad(np.asarray(joffs, dtype=np.float64)),
-                camera_offset=direction * (cam_mm / 1000.0),
+                camera_offset=_CAMERA_OFFSET_DIR * (cam_mm / 1000.0),
                 sag_gain=sag_gain,
             )
     return states

@@ -153,7 +153,7 @@ class ArmWorld:
     FINGER_LENGTH = 0.04
     FINGER_THICKNESS = 0.008
 
-    def __init__(self, scenario, body_state: BodyState, home_q: np.ndarray | None = None):
+    def __init__(self, scenario, body_state: BodyState):
         self.scenario = scenario
         self.geom = scenario.geometry
         self.body_state = body_state
@@ -165,7 +165,7 @@ class ArmWorld:
         self.center_frac = scenario.grasp_center_frac
         self.height_window = scenario.grasp_height_window
         self.substeps = scenario.grasp_substeps
-        self.q_cmd = (scenario.home_q if home_q is None else np.asarray(home_q)).copy()
+        self.q_cmd = scenario.home_q.copy()
         self.gripper_cmd = 0.0
         self.aperture = self.max_aperture
         self.objects: list[_TableObject] = []
@@ -332,18 +332,6 @@ class ArmWorld:
         self.last_outcome = None
         for o in self.objects:
             o.last_outcome = None
-
-    def grasp_outcome(self, name: str | None = None) -> Outcome:
-        if name is not None:
-            for o in self.objects:
-                if o.spec.name == name:
-                    if o.last_outcome is None:
-                        raise RuntimeError(f"no closure event recorded for {name!r}")
-                    return o.last_outcome
-            raise KeyError(f"no object named {name!r}")
-        if self.last_outcome is None:
-            raise RuntimeError("no closure event recorded")
-        return self.last_outcome
 
     # -- rendering ----------------------------------------------------
 

@@ -5,6 +5,7 @@ mutate the run directory get their own copies."""
 
 import json
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,18 @@ class TestManifest:
         with pytest.raises(StageError):
             bench.stage_collect(smoke_run, sc, SEED + 1, preset)
 
+    def test_later_stages_check_the_seed(self, smoke_run, sc):
+        preset = Preset.from_scenario(sc, "smoke")
+        with pytest.raises(StageError) as err:
+            bench.stage_codec(smoke_run, sc, SEED + 92, preset)
+        assert (err.value.report["expected"], err.value.report["found"]) == \
+            (SEED, SEED + 92)
+        with pytest.raises(StageError) as err:
+            bench.stage_eval(smoke_run, sc, SEED + 1, states=["c1-j0"],
+                             objects=["L-25"], trials=1, modes=("correct",))
+        assert (err.value.report["expected"], err.value.report["found"]) == \
+            (SEED, SEED + 1)
+
     def test_missing_stage_reported(self, sc, tmp_path):
         preset = Preset.from_scenario(sc, "smoke")
         with pytest.raises(StageError) as err:
@@ -131,6 +144,15 @@ class TestProvenance:
                  for p in run.rglob("*") if p.is_file()
                  and "eval" not in p.parts and p.name != "manifest.json"}
         assert before == after
+
+    def test_recollect_leaves_no_stale_episodes(self, smoke_run, sc, tmp_path):
+        run = tmp_path / "copy"
+        shutil.copytree(smoke_run, run)
+        preset = replace(Preset.from_scenario(sc, "smoke"), trials_per_cell=1)
+        entry = bench.stage_collect(run, sc, SEED, preset)
+        assert len(list((run / "episodes").glob("*.bin"))) == entry["episodes"] == 2
+        bench.stage_codec(run, sc, SEED, preset)
+        assert len(list((run / "latents").glob("*.jsonl"))) == 2
 
     def test_collect_rerun_is_byte_identical(self, smoke_run, sc, tmp_path):
         preset = Preset.from_scenario(sc, "smoke")

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes and machine-readable errors."""
 
 import json
+import shutil
 
 import pytest
 
@@ -44,6 +45,17 @@ class TestHappyPath:
         assert code == 0
         assert (pipeline_dir / "eval" / "outcomes.csv").exists()
 
+    def test_train_prints_one_line_per_epoch(self, capsys, pipeline_dir, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run)
+        code, out, _ = run_cli(capsys, "train", "--out", str(run), "--seed", "3")
+        assert code == 0
+        lines = out.strip().splitlines()
+        epochs = [l for l in lines if l.startswith("model epoch ")]
+        assert epochs[-1].startswith("model epoch 12/12 loss ")
+        assert len(epochs) == 12
+        assert json.loads(lines[-1])["stage"] == "train"
+
     def test_plotdata_tolerates_empty_run(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "plotdata", "--out", str(tmp_path),
                                "--quiet")
@@ -66,12 +78,6 @@ class TestFailurePaths:
                                "--preset", "galactic", "--quiet")
         assert code == 2
         assert json.loads(err.strip())["error"] == "StageError"
-
-    def test_workers_must_be_positive(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "collect", "--out", str(tmp_path),
-                               "--workers", "0", "--quiet")
-        assert code == 2
-        assert json.loads(err.strip())["error"]
 
     def test_bad_mode_rejected(self, capsys, pipeline_dir):
         code, _, err = run_cli(capsys, "eval", "--out", str(pipeline_dir),

@@ -196,12 +196,17 @@ class TestTrainedModel:
         result, (s, u, _) = trained
         model = result.model
         p = model.pb_table[0]
-        s_un, u_un = model.unroll(s[0], u[0], p)
+        s_n = model.norm_s.normalize(s[0])[:, None]
+        u_n = model.norm_u.normalize(u[0])[:, None]
+        s_un, u_un = model.net.unroll(model.params, s_n, u_n, Tensor(p[None, :]))
+        assert s_un.shape == (s.shape[1] - 1, 1, s.shape[2])
         hidden = model.zero_hidden()
         for t in range(s.shape[1] - 1):
             s_step, u_step, hidden, _ = model.predict(s[0, t], u[0, t], p, hidden)
-            np.testing.assert_array_equal(s_step, s_un[t])
-            np.testing.assert_array_equal(u_step, u_un[t])
+            np.testing.assert_array_equal(
+                s_step, model.norm_s.denormalize(s_un.data[t, 0]))
+            np.testing.assert_array_equal(
+                u_step, model.norm_u.denormalize(u_un.data[t, 0]))
 
     def test_predict_validates_dims(self, trained):
         result, _ = trained

@@ -9,7 +9,7 @@ import inspect
 import numpy as np
 import pytest
 
-from servopb.model import Normalizer, VsnpbConfig, VsnpbModel
+from servopb.model import HEADROOM, Normalizer, VsnpbConfig, VsnpbModel
 from servopb.rng import substream
 from servopb.servo import (baseline_grasp_trial, pixel_to_plane,
                            run_grasp_trial, servo_step)
@@ -22,11 +22,8 @@ def sc():
     return load_default()
 
 
-def unit_normalizer(dim, limit=None):
-    n = Normalizer(np.zeros(dim), np.ones(dim))
-    if limit is not None:
-        n.limit = np.asarray(limit, dtype=np.float64)
-    return n
+def unit_normalizer(dim, limit=HEADROOM):
+    return Normalizer(np.zeros(dim), np.ones(dim), limit)
 
 
 def random_model(seed=0, n_s=15, gripper_limit=None, gripper_shift=0.0):
