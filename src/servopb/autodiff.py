@@ -522,7 +522,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats: BnStats,
         axes, bshape = (0,), (1, -1)
     else:
         raise ShapeError(f"batch_norm expects 2-D or 4-D input, got {xd.shape} (node {x.uid})")
-    dim = xd.shape[1] if xd.ndim == 4 else xd.shape[1]
+    dim = xd.shape[1]
     if gamma.data.shape != (dim,) or beta.data.shape != (dim,):
         raise ShapeError(
             f"batch_norm scale/shift shape {gamma.data.shape}/{beta.data.shape} "

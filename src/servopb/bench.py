@@ -1,11 +1,16 @@
 """Staged experiment runner over a persistent run directory.
 
-Every stage writes its artifact plus a manifest entry carrying a
-content checksum and the checksums of the inputs it consumed, so a
-stale or swapped upstream file is caught before it silently poisons a
-result.  All randomness descends from one root seed split per stage;
-two runs with the same scenario and seed produce byte-identical
-datasets and outcome tables.
+A stage writes its artifact with one manifest entry {artifact,
+checksum, completed, inputs, ...}, `inputs` holding each input's
+checksum at the time, and reads an input only through its entry: the
+input's artifact is re-hashed, and its recorded inputs, transitively,
+must equal their entries' checksums, so an artifact edited by hand or
+made from an older upstream raises StageError naming the stage, the
+input and both checksums.  The entries are dataset, codec, latents
+(the episodes encoded), model, adapt/<state> and eval/<csv>.  All
+randomness descends from one root seed split per stage; two runs with
+the same scenario and seed produce byte-identical datasets and
+outcome tables.
 
 Run directory layout:
 
@@ -38,7 +43,7 @@ from .model import VsnpbConfig, VsnpbModel, train_vsnpb
 from .rng import substream
 from .servo import baseline_grasp_trial, run_grasp_trial
 from .world import ArmWorld, BodyState, load_default, load_scenario
-from .checkpoint import save_arrays, load_arrays
+from .checkpoint import save_arrays, load_arrays  # perfbench traces both
 
 __all__ = ["EVAL_MODES", "Preset", "StageError", "dataset_digest",
            "file_digest", "load_manifest", "outcome_rates", "read_outcomes",
@@ -47,7 +52,7 @@ __all__ = ["EVAL_MODES", "Preset", "StageError", "dataset_digest",
 
 EVAL_MODES = ("correct", "wrong", "online", "baseline")
 OUTCOME_FIELDS = ("state", "object", "trial", "mode", "pb", "outcome",
-                  "ticks", "timeout", "closed_tick", "x", "y", "yaw")
+                  "ticks", "timeout", "closed_tick", "clipped", "x", "y", "yaw")
 
 
 class StageError(RuntimeError):
@@ -98,16 +103,18 @@ def wrong_state(name: str) -> str:
     return f"{cam}-j{1 - int(joint)}"
 
 
+def _known(table: dict, name: str, what: str):
+    if name not in table:
+        raise StageError(f"unknown {what} {name!r}", {"known": sorted(table)})
+    return table[name]
+
+
 def resolve_state(sc, name: str) -> BodyState:
     """Grid state by name, or 'a~b' for the midpoint of two grid states."""
-    if name in sc.body_states:
-        return sc.body_states[name]
-    if "~" in name:
-        a, _, b = name.partition("~")
-        if a in sc.body_states and b in sc.body_states:
-            return sc.interpolated_state(name, a, b)
-    raise StageError(f"unknown body state {name!r}",
-                     {"known": sorted(sc.body_states)})
+    a, _, b = name.partition("~")
+    if b and a in sc.body_states and b in sc.body_states:
+        return sc.interpolated_state(name, a, b)
+    return _known(sc.body_states, name, "body state")
 
 
 # -- manifest plumbing -------------------------------------------------
@@ -170,33 +177,65 @@ def _open_manifest(run: Path, scenario_path, seed: int, *,
     return manifest
 
 
-def _require(manifest: dict, stage: str) -> dict:
-    entry = manifest.get("stages", {}).get(stage)
+def _stage_error(key: str, message: str, **report) -> StageError:
+    return StageError(message, {"stage": key, **report,
+                                "hint": f"re-run the stage that writes {key}"})
+
+
+def _entry(manifest: dict, key: str) -> dict:
+    """The manifest entry for `key`; 'group/name' keys are nested."""
+    group, _, name = key.partition("/")
+    stages = manifest["stages"]
+    entry = stages.get(group, {}).get(name) if name else stages.get(key)
     if entry is None:
-        raise StageError(f"stage {stage!r} has not run",
-                         {"stage": stage, "have": sorted(manifest.get("stages", {}))})
+        raise _stage_error(key, f"stage {key!r} has not run", have=sorted(stages))
     return entry
 
 
-def _verify_artifact(run: Path, manifest: dict, stage: str, rel: str) -> str:
-    """Recompute a stage artifact's digest and compare to the manifest."""
-    entry = _require(manifest, stage)
-    path = Path(run) / rel
-    if not path.exists():
-        raise StageError(f"artifact for stage {stage!r} is missing",
-                         {"stage": stage, "path": str(path)})
-    found = file_digest(path)
-    if found != entry["checksum"]:
-        raise StageError(
-            f"checksum mismatch for stage {stage!r}",
-            {"stage": stage, "artifact": str(path),
-             "expected": entry["checksum"], "found": found,
-             "hint": f"re-run the {stage} stage"})
-    return found
+def _artifact_digest(run: Path, artifact: str) -> str | None:
+    """Checksum of a run-relative file (None if absent) or glob."""
+    path = Path(run) / artifact
+    if "*" in artifact:
+        return dataset_digest(path.parent, path.name)
+    return file_digest(path) if path.exists() else None
 
 
-def _now() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
+def _record(run: Path, manifest: dict, key: str, artifact: str, inputs,
+            **info) -> dict:
+    """Write and save `key`'s entry: its artifact's checksum and the
+    current checksum of each input it was made from."""
+    entry = {"artifact": artifact, "checksum": _artifact_digest(run, artifact),
+             "completed": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+             "inputs": {k: _entry(manifest, k)["checksum"] for k in inputs},
+             **info}
+    group, _, name = key.partition("/")
+    table = manifest["stages"].setdefault(group, {}) if name else manifest["stages"]
+    table[name or key] = entry
+    _save_manifest(run, manifest)
+    return entry
+
+
+def _verified(run: Path, manifest: dict, key: str) -> dict:
+    """`key`'s entry, once its artifact re-hashes to its checksum and its
+    inputs, transitively, equal their entries (upstream is not re-hashed)."""
+    entry = _entry(manifest, key)
+    artifact = entry.get("artifact")    # absent in an older manifest layout
+    found = artifact and _artifact_digest(run, artifact)
+    if found is None or found != entry.get("checksum"):
+        raise _stage_error(key, f"artifact of stage {key!r} is missing, "
+                           "changed or unrecorded", artifact=artifact,
+                           expected=entry.get("checksum"), found=found)
+    pending = [key]     # entries only name earlier entries: no cycles
+    while pending:
+        stage = pending.pop()
+        for name, expected in _entry(manifest, stage).get("inputs", {}).items():
+            found = _entry(manifest, name).get("checksum")
+            if found != expected:
+                raise _stage_error(stage, f"stage {stage!r} was made from an "
+                                   f"older {name!r}", input=name,
+                                   expected=expected, found=found)
+            pending.append(name)
+    return entry
 
 
 # -- stages ------------------------------------------------------------
@@ -219,23 +258,11 @@ def stage_collect(run, sc, seed: int, preset: Preset, *,
         if progress is not None:
             progress(f"collected {ep.tag}")
     (episodes_dir / "collect.log").write_text("\n".join(log) + "\n" if log else "")
-    checksum = dataset_digest(episodes_dir, "*.bin")
-    manifest["stages"]["dataset"] = {
-        "checksum": checksum, "completed": _now(), "episodes": len(episodes),
-        "preset": preset.name,
-        "params": {"states": list(preset.states),
-                   "objects": list(preset.objects),
-                   "trials_per_cell": preset.trials_per_cell}}
-    _save_manifest(run, manifest)
-    return manifest["stages"]["dataset"]
-
-
-def _load_raw_episodes(run: Path):
-    files = sorted((Path(run) / "episodes").glob("*.bin"))
-    if not files:
-        raise StageError("no collected episodes found",
-                         {"path": str(Path(run) / "episodes")})
-    return [load_raw(f) for f in files]
+    return _record(run, manifest, "dataset", "episodes/*.bin", (),
+                   episodes=len(episodes), preset=preset.name,
+                   params={"states": list(preset.states),
+                           "objects": list(preset.objects),
+                           "trials_per_cell": preset.trials_per_cell})
 
 
 def stage_codec(run, sc, seed: int, preset: Preset, *, scenario_path=None,
@@ -243,11 +270,8 @@ def stage_codec(run, sc, seed: int, preset: Preset, *, scenario_path=None,
     """Train the autoencoder, then encode every episode to latents."""
     run = Path(run)
     manifest = _open_manifest(run, scenario_path, seed)
-    dataset = _require(manifest, "dataset")
-    if dataset_digest(run / "episodes", "*.bin") != dataset["checksum"]:
-        raise StageError("dataset changed since collection",
-                         {"stage": "dataset", "hint": "re-run collect"})
-    raws = _load_raw_episodes(run)
+    _verified(run, manifest, "dataset")
+    raws = [load_raw(f) for f in sorted((run / "episodes").glob("*.bin"))]
     frames = np.concatenate([r.frames for r in raws])
     cfg = CodecConfig(height=frames.shape[1], width=frames.shape[2],
                       latent_dim=int(sc.codec["latent_dim"]))
@@ -258,6 +282,8 @@ def stage_codec(run, sc, seed: int, preset: Preset, *, scenario_path=None,
     if progress is not None:
         progress(f"codec loss {result.losses[0]:.5f} -> {result.losses[-1]:.5f}")
     result.model.save(run / "codec.ckpt")
+    entry = _record(run, manifest, "codec", "codec.ckpt", ("dataset",),
+                    epochs=preset.codec_epochs, final_loss=result.losses[-1])
     latents_dir = run / "latents"
     latents_dir.mkdir(exist_ok=True)
     for stale in latents_dir.glob("*.jsonl"):
@@ -265,14 +291,8 @@ def stage_codec(run, sc, seed: int, preset: Preset, *, scenario_path=None,
     for raw in raws:
         save_episode(latents_dir / f"{raw.tag}.jsonl",
                      encode_raw(raw, result.model))
-    manifest["stages"]["codec"] = {
-        "checksum": file_digest(run / "codec.ckpt"),
-        "latents_checksum": dataset_digest(latents_dir, "*.jsonl"),
-        "completed": _now(), "epochs": preset.codec_epochs,
-        "final_loss": result.losses[-1],
-        "inputs": {"dataset": dataset["checksum"]}}
-    _save_manifest(run, manifest)
-    return manifest["stages"]["codec"]
+    _record(run, manifest, "latents", "latents/*.jsonl", ("dataset", "codec"))
+    return entry
 
 
 def stage_train(run, sc, seed: int, preset: Preset, *, scenario_path=None,
@@ -280,11 +300,7 @@ def stage_train(run, sc, seed: int, preset: Preset, *, scenario_path=None,
     """Train the predictor and PB table on the encoded corpus."""
     run = Path(run)
     manifest = _open_manifest(run, scenario_path, seed)
-    codec_entry = _require(manifest, "codec")
-    _verify_artifact(run, manifest, "codec", "codec.ckpt")
-    if dataset_digest(run / "latents", "*.jsonl") != codec_entry["latents_checksum"]:
-        raise StageError("latent episodes changed since encoding",
-                         {"stage": "codec", "hint": "re-run train-codec"})
+    _verified(run, manifest, "latents")
     ts = TrainingSet.from_dir(run / "latents")
     s, u, k = ts.arrays()
     cfg = VsnpbConfig(n_s=s.shape[2], n_u=u.shape[2],
@@ -297,19 +313,15 @@ def stage_train(run, sc, seed: int, preset: Preset, *, scenario_path=None,
     save_arrays(run / "train_stats.bin",
                 {"losses": result.losses, "pb_history": result.pb_history},
                 meta={"states": ts.state_names})
-    manifest["stages"]["model"] = {
-        "checksum": file_digest(run / "model.ckpt"),
-        "completed": _now(), "epochs": preset.model_epochs,
-        "final_loss": float(result.losses[-1]),
-        "inputs": {"codec": codec_entry["checksum"],
-                   "dataset": manifest["stages"]["dataset"]["checksum"]}}
-    _save_manifest(run, manifest)
-    return manifest["stages"]["model"]
+    # the model runs in the codec's latent space: adapt and eval pair the two
+    return _record(run, manifest, "model", "model.ckpt", ("latents", "codec"),
+                   epochs=preset.model_epochs,
+                   final_loss=float(result.losses[-1]))
 
 
 def _load_model_and_codec(run: Path, manifest: dict):
-    _verify_artifact(run, manifest, "model", "model.ckpt")
-    _verify_artifact(run, manifest, "codec", "codec.ckpt")
+    _verified(run, manifest, "model")
+    _verified(run, manifest, "codec")
     return (VsnpbModel.load(Path(run) / "model.ckpt"),
             ConvAutoencoder.load(Path(run) / "codec.ckpt"))
 
@@ -323,9 +335,9 @@ def stage_adapt(run, sc, seed: int, state_name: str, *, n_episodes: int = 3,
     estimate starts at zero and persists across the episodes."""
     run = Path(run)
     manifest = _open_manifest(run, scenario_path, seed)
-    model, codec = _load_model_and_codec(run, manifest)
     state = resolve_state(sc, state_name)
-    spec = sc.objects[object_name]
+    spec = _known(sc.objects, object_name, "object")
+    model, codec = _load_model_and_codec(run, manifest)
     world = ArmWorld(sc, state)
     adapter = PbAdapter(model, AdapterConfig(**sc.adapter))
     rng = substream(seed, "adapt", state_name)
@@ -347,36 +359,25 @@ def stage_adapt(run, sc, seed: int, state_name: str, *, n_episodes: int = 3,
         "records": [{"tick": r.tick, "p": [float(v) for v in r.p],
                      "loss": r.loss, "grad_norm": r.grad_norm}
                     for r in adapter.log]}
-    adapt_dir = run / "adapt"
-    adapt_dir.mkdir(exist_ok=True)
-    out = adapt_dir / f"{state_name}.json"
-    out.write_text(json.dumps(payload, indent=2) + "\n")
-    manifest["stages"].setdefault("adapt", {})[state_name] = {
-        "checksum": file_digest(out), "completed": _now(),
-        "inputs": {"model": manifest["stages"]["model"]["checksum"]}}
-    _save_manifest(run, manifest)
+    (run / "adapt").mkdir(exist_ok=True)
+    (run / "adapt" / f"{state_name}.json").write_text(
+        json.dumps(payload, indent=2) + "\n")
+    _record(run, manifest, f"adapt/{state_name}", f"adapt/{state_name}.json",
+            ("model", "codec"))
     return payload
 
 
-def _pb_for_mode(run: Path, model: VsnpbModel, mode: str, state_name: str):
-    if mode == "correct":
-        if state_name not in model.state_names:
-            raise StageError(f"no trained PB for state {state_name!r}",
+def _pb_for_mode(run: Path, manifest: dict, model: VsnpbModel, mode: str,
+                 state_name: str):
+    if mode in ("correct", "wrong"):
+        name = state_name if mode == "correct" else wrong_state(state_name)
+        if name not in model.state_names:
+            raise StageError(f"no trained PB for state {name!r}",
                              {"mode": mode, "trained": model.state_names})
-        return model.pb_for(state_name), state_name
-    if mode == "wrong":
-        other = wrong_state(state_name)
-        if other not in model.state_names:
-            raise StageError(f"no trained PB for state {other!r}",
-                             {"mode": mode, "trained": model.state_names})
-        return model.pb_for(other), other
+        return model.pb_for(name), name
     if mode == "online":
-        path = Path(run) / "adapt" / f"{state_name}.json"
-        if not path.exists():
-            raise StageError(
-                f"online mode needs an adaptation log for {state_name!r}",
-                {"missing": str(path), "hint": "run the adapt stage first"})
-        payload = json.loads(path.read_text())
+        entry = _verified(run, manifest, f"adapt/{state_name}")
+        payload = json.loads((Path(run) / entry["artifact"]).read_text())
         return np.array(payload["p_final"], dtype=np.float64), "online"
     raise StageError(f"unknown eval mode {mode!r}", {"known": list(EVAL_MODES)})
 
@@ -399,14 +400,18 @@ def stage_eval(run, sc, seed: int, *, states, objects, trials: int,
     paired; every mode sees the identical object pose in a fresh world."""
     run = Path(run)
     manifest = _open_manifest(run, scenario_path, seed)
+    body = {name: resolve_state(sc, name) for name in states}
+    specs = {name: _known(sc.objects, name, "object") for name in objects}
     model, codec = _load_model_and_codec(run, manifest)
+    pbs = {(s, m): _pb_for_mode(run, manifest, model, m, s)
+           for s in states for m in modes if m != "baseline"}
     max_ticks = int(sc.servo["max_ticks"])
     lift = float(sc.servo["lift_mm"]) / 1000.0
     rows = []
     for state_name in states:
-        state = resolve_state(sc, state_name)
+        state = body[state_name]
         for object_name in objects:
-            spec = sc.objects[object_name]
+            spec = specs[object_name]
             rng = substream(seed, "eval", state_name, object_name)
             used: set = set()
             for trial in range(trials):
@@ -418,7 +423,7 @@ def stage_eval(run, sc, seed: int, *, states, objects, trials: int,
                         res = baseline_grasp_trial(world, spec)
                         pb_label = "-"
                     else:
-                        p, pb_label = _pb_for_mode(run, model, mode, state_name)
+                        p, pb_label = pbs[state_name, mode]
                         res = run_grasp_trial(world, model, codec, p,
                                               max_ticks=max_ticks, lift=lift)
                     rows.append({
@@ -427,6 +432,7 @@ def stage_eval(run, sc, seed: int, *, states, objects, trials: int,
                         "outcome": res.outcome.value, "ticks": res.ticks,
                         "timeout": int(res.timeout),
                         "closed_tick": res.closed_tick,
+                        "clipped": int(res.clipped),
                         "x": x, "y": y, "yaw": yaw})
                     if progress is not None:
                         progress(f"{state_name} {object_name} #{trial} "
@@ -434,17 +440,13 @@ def stage_eval(run, sc, seed: int, *, states, objects, trials: int,
     rows.sort(key=lambda r: (r["state"], r["object"], r["trial"], r["mode"]))
     lines = [",".join(OUTCOME_FIELDS)]
     lines += [",".join(_format_cell(r[f]) for f in OUTCOME_FIELDS) for r in rows]
-    eval_dir = run / "eval"
-    eval_dir.mkdir(exist_ok=True)
-    out = eval_dir / out_name
-    out.write_text("\n".join(lines) + "\n")
-    manifest["stages"].setdefault("eval", {})[out_name] = {
-        "checksum": file_digest(out), "completed": _now(),
-        "trials": trials, "states": list(states), "objects": list(objects),
-        "modes": list(modes),
-        "inputs": {"model": manifest["stages"]["model"]["checksum"]}}
-    _save_manifest(run, manifest)
-    return manifest["stages"]["eval"][out_name]
+    (run / "eval").mkdir(exist_ok=True)
+    (run / "eval" / out_name).write_text("\n".join(lines) + "\n")
+    online = [f"adapt/{s}" for s in states] if "online" in modes else []
+    return _record(run, manifest, f"eval/{out_name}", f"eval/{out_name}",
+                   ("model", "codec", *online), trials=trials,
+                   states=list(states), objects=list(objects),
+                   modes=list(modes))
 
 
 # -- outcome table helpers --------------------------------------------
@@ -458,7 +460,8 @@ def read_outcomes(path) -> list[dict]:
         row = dict(zip(header, cells))
         row["trial"] = int(row["trial"])
         row["ticks"] = int(row["ticks"])
-        row["timeout"] = bool(int(row["timeout"]))
+        for f in {"timeout", "clipped"} & row.keys():   # older: no clipped
+            row[f] = bool(int(row[f]))
         for f in ("x", "y", "yaw"):
             row[f] = float(row[f])
         out.append(row)

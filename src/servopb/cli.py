@@ -89,6 +89,11 @@ def main(argv=None) -> int:
     if args.out is None:
         return _fail({"error": "BadArgument",
                       "message": "--out is required"}, 2)
+    for flag in ("episodes", "trials"):
+        n = getattr(args, flag, None)
+        if n is not None and n < 1:
+            return _fail({"error": "BadArgument",
+                          "message": f"--{flag} must be at least 1, got {n}"}, 2)
     progress = None if args.quiet else lambda msg: print(msg, flush=True)
     try:
         sc, sc_path = load_scenario_arg(args.scenario)
@@ -121,7 +126,7 @@ def main(argv=None) -> int:
             summary = {"stage": "adapt", "state": payload["state"],
                        "p_final": payload["p_final"],
                        "nearest": payload["nearest"]}
-        elif args.command == "eval":
+        else:      # eval; argparse enforces the choices
             states = (args.states.split(",") if args.states
                       else list(preset.states))
             objects = (args.objects.split(",") if args.objects
@@ -139,9 +144,6 @@ def main(argv=None) -> int:
                                      scenario_path=sc_path, progress=progress)
             summary = {"stage": "eval", "csv": args.name,
                        "checksum": entry["checksum"]}
-        else:      # pragma: no cover - argparse enforces the choices
-            return _fail({"error": "BadArgument",
-                          "message": f"unknown command {args.command!r}"}, 2)
     except StageError as err:
         return _fail({"error": "StageError", **err.report}, 2)
     except Exception as err:   # surface anything else in machine form

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import RawEpisode
 from .rng import substream
-from .world import ArmWorld, Command, IkError, Outcome, grasp_rotation, ik_nominal
+from .world import ArmWorld, Command, IkError, Outcome, ik_nominal
 
 __all__ = ["CollectionError", "collect_dataset", "collect_episode",
            "sample_placement", "scripted_commands"]

@@ -17,7 +17,7 @@ predict() speaks denormalized quantities; min-max normalization to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 

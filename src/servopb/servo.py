@@ -52,7 +52,6 @@ class TrialResult:
     closed_tick: int | None
     clipped: bool
     commands: np.ndarray        # (T, 7) actuated commands
-    raw_commands: np.ndarray    # (T, 7) continuous predictions (servo only)
     executed: np.ndarray        # (T, 6) executed joints
 
     @property
@@ -60,13 +59,12 @@ class TrialResult:
         return self.outcome in (Outcome.SUCCEEDED, Outcome.ROTATED)
 
 
-def _result(outcome, timeout, closed_tick, clipped, cmds, raws, execs):
+def _result(outcome, timeout, closed_tick, clipped, cmds, execs):
     cmds = np.array(cmds).reshape(-1, 7)
-    raws = np.array(raws).reshape(-1, 7)
     execs = np.array(execs).reshape(-1, 6)
     return TrialResult(outcome=outcome, ticks=cmds.shape[0], timeout=timeout,
                        closed_tick=closed_tick, clipped=clipped,
-                       commands=cmds, raw_commands=raws, executed=execs)
+                       commands=cmds, executed=execs)
 
 
 def run_grasp_trial(world, model: VsnpbModel, codec, p: np.ndarray, *,
@@ -87,7 +85,7 @@ def run_grasp_trial(world, model: VsnpbModel, codec, p: np.ndarray, *,
     s = codec.encode(world.observe().image[None])[0]
     u = np.concatenate([sc.home_q, [0.0]])
     hidden = model.zero_hidden(1)
-    cmds, raws, execs = [], [], []
+    cmds, execs = [], []
     clipped_any = False
     closed_tick = None
     for tick in range(max_ticks):
@@ -97,15 +95,13 @@ def run_grasp_trial(world, model: VsnpbModel, codec, p: np.ndarray, *,
         # the loop ends on the closing tick, so its frame is never read
         obs = world.step(cmd, render=not closing)
         cmds.append(cmd.as_array())
-        raws.append(u.copy())
         execs.append(obs.executed_joints)
         if closing:
             closed_tick = tick
             break
         s = codec.encode(obs.image[None])[0]
     if closed_tick is None:
-        return _result(Outcome.FAILED, True, None, clipped_any,
-                       cmds, raws, execs)
+        return _result(Outcome.FAILED, True, None, clipped_any, cmds, execs)
 
     q_close = cmds[-1][:6]
     pos, rot = fk_nominal(q_close, sc.geometry)
@@ -119,10 +115,9 @@ def run_grasp_trial(world, model: VsnpbModel, codec, p: np.ndarray, *,
         cmd = Command((1 - a) * q_close + a * q_lift, 1.0)
         obs = world.step(cmd, render=False)
         cmds.append(cmd.as_array())
-        raws.append(cmd.as_array())
         execs.append(obs.executed_joints)
     outcome = world.last_outcome if world.last_outcome is not None else Outcome.FAILED
-    return _result(outcome, False, closed_tick, clipped_any, cmds, raws, execs)
+    return _result(outcome, False, closed_tick, clipped_any, cmds, execs)
 
 
 def pixel_to_plane(camera: CameraModel, px: float, py: float,
@@ -164,7 +159,7 @@ def baseline_grasp_trial(world, spec) -> TrialResult:
     try:
         script = scripted_commands(sc, spec, est[0], est[1], obj.yaw, "pick")
     except IkError:
-        return _result(Outcome.FAILED, False, None, False, [], [], [])
+        return _result(Outcome.FAILED, False, None, False, [], [])
     cmds, execs = [], []
     closed_tick = None
     for tick, (cmd, phase) in enumerate(script):
@@ -174,4 +169,4 @@ def baseline_grasp_trial(world, spec) -> TrialResult:
         if closed_tick is None and cmd.gripper == 1.0:
             closed_tick = tick
     outcome = world.last_outcome if world.last_outcome is not None else Outcome.FAILED
-    return _result(outcome, False, closed_tick, False, cmds, cmds, execs)
+    return _result(outcome, False, closed_tick, False, cmds, execs)

@@ -110,6 +110,19 @@ class TestManifest:
         assert (err.value.report["expected"], err.value.report["found"]) == \
             (SEED, SEED + 1)
 
+    def test_every_entry_has_one_shape(self, smoke_run):
+        stages = bench.load_manifest(smoke_run)["stages"]
+        entries = [stages[k] for k in ("dataset", "codec", "latents", "model")]
+        entries += [*stages["adapt"].values(), *stages["eval"].values()]
+        for entry in entries:
+            assert {"artifact", "checksum", "completed", "inputs"} <= set(entry)
+        assert stages["latents"]["artifact"] == "latents/*.jsonl"
+        assert stages["latents"]["inputs"] == {
+            "dataset": stages["dataset"]["checksum"],
+            "codec": stages["codec"]["checksum"]}
+        assert stages["model"]["inputs"]["latents"] == stages["latents"]["checksum"]
+        assert "latents_checksum" not in stages["codec"]
+
     def test_missing_stage_reported(self, sc, tmp_path):
         preset = Preset.from_scenario(sc, "smoke")
         with pytest.raises(StageError) as err:
@@ -161,6 +174,95 @@ class TestProvenance:
         assert entry["checksum"] == m["stages"]["dataset"]["checksum"]
 
 
+@pytest.fixture(scope="module")
+def restaged(smoke_run, sc, tmp_path_factory):
+    """The smoke run re-collected with one trial per cell, then copied
+    after each later stage re-runs: {"collect", "codec", "train"} -> run."""
+    preset = replace(Preset.from_scenario(sc, "smoke"), trials_per_cell=1)
+    run = tmp_path_factory.mktemp("restaged") / "collect"
+    shutil.copytree(smoke_run, run)
+    bench.stage_collect(run, sc, SEED, preset)
+    runs = {"collect": run}
+    for name, stage in (("codec", bench.stage_codec),
+                        ("train", bench.stage_train)):
+        shutil.copytree(run, run.parent / name)
+        run = runs[name] = run.parent / name
+        stage(run, sc, SEED, preset)
+    return runs
+
+
+def _checksum(run, key):
+    group, _, name = key.partition("/")
+    entry = bench.load_manifest(run)["stages"][group]
+    return (entry[name] if name else entry)["checksum"]
+
+
+def _assert_stale(err, stage, inputs, old_run, new_run):
+    """`stage` was refused for one of `inputs`, reported with the checksum
+    it was made from (old run) and the one the input has now."""
+    rep = err.value.report
+    assert rep["stage"] == stage
+    assert rep["input"] in inputs
+    assert rep["expected"] == _checksum(old_run, rep["input"])
+    assert rep["found"] == _checksum(new_run, rep["input"]) != rep["expected"]
+
+
+class TestStaleInputs:
+    """A stage refuses an input made from an older upstream artifact."""
+
+    def test_train_refuses_latents_of_an_older_dataset(self, smoke_run, sc,
+                                                       restaged):
+        run = restaged["collect"]
+        with pytest.raises(StageError) as err:
+            bench.stage_train(run, sc, SEED, Preset.from_scenario(sc, "smoke"))
+        _assert_stale(err, "latents", {"dataset"}, smoke_run, run)
+
+    def test_eval_refuses_a_model_of_an_older_codec(self, smoke_run, sc,
+                                                    restaged):
+        run = restaged["codec"]
+        with pytest.raises(StageError) as err:
+            bench.stage_eval(run, sc, SEED, states=["c1-j0"],
+                             objects=["L-25"], trials=1, modes=("correct",),
+                             out_name="stale.csv")
+        _assert_stale(err, "model", {"latents", "codec"}, smoke_run, run)
+        assert not (run / "eval" / "stale.csv").exists()
+
+    def test_online_eval_refuses_a_log_of_an_older_model(self, smoke_run, sc,
+                                                         restaged):
+        run = restaged["train"]
+        assert _checksum(run, "model") != _checksum(smoke_run, "model")
+        with pytest.raises(StageError) as err:
+            bench.stage_eval(run, sc, SEED, states=["c1-j0"],
+                             objects=["L-25"], trials=1, modes=("online",))
+        _assert_stale(err, "adapt/c1-j0", {"model", "codec"}, smoke_run, run)
+
+    def test_online_eval_refuses_an_edited_log(self, smoke_run, sc, tmp_path):
+        run = tmp_path / "copy"
+        shutil.copytree(smoke_run, run)
+        path = run / "adapt" / "c1-j0.json"
+        payload = json.loads(path.read_text())
+        payload["p_final"] = [0.5, -0.5]
+        path.write_text(json.dumps(payload, indent=2) + "\n")
+        with pytest.raises(StageError) as err:
+            bench.stage_eval(run, sc, SEED, states=["c1-j0"],
+                             objects=["L-25"], trials=1, modes=("online",))
+        rep = err.value.report
+        assert rep["stage"] == "adapt/c1-j0"
+        assert rep["expected"] == _checksum(smoke_run, "adapt/c1-j0")
+        assert rep["found"] == file_digest(path) != rep["expected"]
+
+    def test_old_layout_entry_is_a_stage_error(self, smoke_run, sc, tmp_path):
+        run = tmp_path / "copy"
+        shutil.copytree(smoke_run, run)
+        m = bench.load_manifest(run)
+        del m["stages"]["model"]["artifact"]
+        (run / "manifest.json").write_text(json.dumps(m))
+        with pytest.raises(StageError) as err:
+            bench.stage_eval(run, sc, SEED, states=["c1-j0"],
+                             objects=["L-25"], trials=1, modes=("correct",))
+        assert err.value.report["stage"] == "model"
+
+
 class TestEvalTable:
     def test_csv_shape_and_order(self, smoke_run):
         rows = read_outcomes(smoke_run / "eval" / "outcomes.csv")
@@ -194,6 +296,21 @@ class TestEvalTable:
             bench.stage_eval(run, sc, SEED, states=["c1-j0"],
                              objects=["L-25"], trials=1, modes=("online",))
         assert "adapt" in err.value.report.get("hint", "")
+
+    def test_clipped_recorded_per_grasp(self, smoke_run):
+        rows = read_outcomes(smoke_run / "eval" / "outcomes.csv")
+        assert all(isinstance(r["clipped"], bool) for r in rows)
+        assert not any(r["clipped"] for r in rows if r["mode"] == "baseline")
+
+    def test_unknown_object_is_stage_error(self, smoke_run, sc):
+        with pytest.raises(StageError) as err:
+            bench.stage_eval(smoke_run, sc, SEED, states=["c1-j0"],
+                             objects=["X-99"], trials=1, modes=("correct",))
+        assert "L-25" in err.value.report["known"]
+        with pytest.raises(StageError) as err:
+            bench.stage_adapt(smoke_run, sc, SEED, "c1-j0", n_episodes=1,
+                              object_name="X-99")
+        assert "L-25" in err.value.report["known"]
 
     def test_outcome_rates_partition(self):
         rows = [{"state": "s", "object": "o", "mode": "m",

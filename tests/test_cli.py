@@ -93,3 +93,47 @@ class TestFailurePaths:
         payload = json.loads(err.strip())
         assert payload["expected"] == 3
         assert payload["found"] == 4
+
+    @pytest.mark.parametrize("argv", [("adapt", "--state", "c1-j0", "--episodes", "0"),
+                                      ("adapt", "--state", "c1-j0", "--episodes", "-2"),
+                                      ("eval", "--trials", "0"),
+                                      ("eval", "--trials", "-1")])
+    def test_non_positive_counts_rejected(self, capsys, pipeline_dir, argv):
+        code, _, err = run_cli(capsys, *argv, "--out", str(pipeline_dir),
+                               "--seed", "3", "--quiet")
+        assert code == 2
+        payload = json.loads(err.strip())
+        assert payload["error"] == "BadArgument"
+        assert argv[-2] in payload["message"]
+
+    @pytest.mark.parametrize("argv", [("adapt", "--state", "c1-j0", "--object", "X-99"),
+                                      ("eval", "--objects", "X-99")])
+    def test_unknown_object_is_stage_error(self, capsys, pipeline_dir, argv):
+        code, _, err = run_cli(capsys, *argv, "--out", str(pipeline_dir),
+                               "--seed", "3", "--quiet")
+        assert code == 2
+        payload = json.loads(err.strip())
+        assert payload["error"] == "StageError"
+        assert "L-25" in payload["known"]
+
+    def test_stale_online_eval_reports_the_input(self, capsys, pipeline_dir,
+                                                 tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline_dir, run)
+        code, _, _ = run_cli(capsys, "adapt", "--out", str(run), "--seed", "3",
+                             "--state", "c1-j0", "--episodes", "1", "--quiet")
+        assert code == 0
+        # as if the log had been adapted against an earlier model
+        manifest = json.loads((run / "manifest.json").read_text())
+        manifest["stages"]["adapt"]["c1-j0"]["inputs"]["model"] = "0" * 64
+        (run / "manifest.json").write_text(json.dumps(manifest))
+        code, _, err = run_cli(capsys, "eval", "--out", str(run), "--seed", "3",
+                               "--states", "c1-j0", "--modes", "online",
+                               "--trials", "1", "--name", "stale.csv", "--quiet")
+        assert code == 2
+        payload = json.loads(err.strip())
+        assert payload["error"] == "StageError"
+        assert (payload["stage"], payload["input"]) == ("adapt/c1-j0", "model")
+        assert payload["expected"] == "0" * 64
+        assert payload["found"] == manifest["stages"]["model"]["checksum"]
+        assert not (run / "eval" / "stale.csv").exists()
