@@ -1,11 +1,14 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
-Operations execute eagerly.  While a :class:`Tape` is active (see
-:func:`recording`) each operation that touches a tracked tensor appends a
-backward closure to the tape; :func:`backward` replays the tape in reverse
-to accumulate gradients.  Because entries are appended in execution order,
-every node is produced before it is consumed and the reverse sweep needs
-no topological sort.
+Operations execute eagerly.  A primitive is a forward result plus one
+vector-Jacobian product (vjp) per input, and it records itself through
+one helper, :func:`_node`: while a :class:`Tape` is active (see
+:func:`recording`) and at least one input is tracked, the output's
+backward step is appended to the tape; it maps the output gradient
+through each tracked input's vjp, in edge order.  :func:`backward`
+replays the tape in reverse to accumulate gradients.  Because entries are
+appended in execution order, every node is produced before it is consumed
+and the reverse sweep needs no topological sort.
 
 Tensors are immutable: the wrapped array is marked read-only at
 construction.  Optimizers therefore return fresh tensors instead of
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from contextlib import contextmanager
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -168,6 +172,31 @@ def _acc_into(acc: dict[int, np.ndarray], uid: int, g: np.ndarray) -> None:
     acc[uid] = g if prev is None else prev + g
 
 
+def _node(data: np.ndarray, *edges: tuple[Tensor, Callable],
+          pre: Callable | None = None) -> Tensor:
+    """Wrap `data` as an op output and record its backward step.
+
+    Each edge is ``(input, vjp)``; ``vjp`` maps the output gradient to that
+    input's gradient.  Only the edges of tracked inputs are kept, and with
+    none left nothing is recorded.  The backward step applies `pre` to the
+    output gradient once (work its vjps share), then accumulates the vjps
+    in edge order.
+    """
+    out = Tensor._wrap(data)
+    tape = active_tape()
+    if tape is not None:
+        live = [(t.uid, vjp) for t, vjp in edges if tape.tracked(t)]
+        if live:
+            def bw(g, acc):
+                if pre is not None:
+                    g = pre(g)
+                for uid, vjp in live:
+                    _acc_into(acc, uid, vjp(g))
+
+            tape._push(out.uid, bw)
+    return out
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if g.shape == shape:
         return g
@@ -189,165 +218,92 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"matmul mismatch {a.data.shape} @ {b.data.shape} (nodes {a.uid}, {b.uid})"
         )
-    out = Tensor._wrap(a.data @ b.data)
-    tape = active_tape()
-    if tape is not None:
-        na, nb = tape.tracked(a), tape.tracked(b)
-        if na or nb:
-            ad, bd, au, bu = a.data, b.data, a.uid, b.uid
-
-            def bw(g, acc):
-                if na:
-                    _acc_into(acc, au, g @ bd.T)
-                if nb:
-                    _acc_into(acc, bu, ad.T @ g)
-
-            tape._push(out.uid, bw)
-    return out
+    ad, bd = a.data, b.data
+    return _node(ad @ bd, (a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g))
 
 
-def _elementwise_pair(a: Tensor, b: Tensor, fwd, bwd_a, bwd_b, name: str) -> Tensor:
+def _pairwise(fwd, a: Tensor, b: Tensor, name: str) -> np.ndarray:
     try:
-        data = fwd(a.data, b.data)
+        return fwd(a.data, b.data)
     except ValueError as exc:
         raise ShapeError(f"{name} mismatch {a.data.shape}, {b.data.shape} "
                          f"(nodes {a.uid}, {b.uid})") from exc
-    out = Tensor._wrap(data)
-    tape = active_tape()
-    if tape is not None:
-        na, nb = tape.tracked(a), tape.tracked(b)
-        if na or nb:
-            ad, bd, au, bu = a.data, b.data, a.uid, b.uid
-            ash, bsh = a.data.shape, b.data.shape
-
-            def bw(g, acc):
-                if na:
-                    _acc_into(acc, au, _unbroadcast(bwd_a(g, ad, bd), ash))
-                if nb:
-                    _acc_into(acc, bu, _unbroadcast(bwd_b(g, ad, bd), bsh))
-
-            tape._push(out.uid, bw)
-    return out
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    return _elementwise_pair(a, b, np.add, lambda g, x, y: g, lambda g, x, y: g, "add")
+    ash, bsh = a.data.shape, b.data.shape
+    return _node(_pairwise(np.add, a, b, "add"),
+                 (a, lambda g: _unbroadcast(g, ash)),
+                 (b, lambda g: _unbroadcast(g, bsh)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _elementwise_pair(a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g, "sub")
+    ash, bsh = a.data.shape, b.data.shape
+    return _node(_pairwise(np.subtract, a, b, "sub"),
+                 (a, lambda g: _unbroadcast(g, ash)),
+                 (b, lambda g: _unbroadcast(-g, bsh)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _elementwise_pair(a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x, "mul")
-
-
-def _elementwise_one(x: Tensor, data: np.ndarray, make_grad) -> Tensor:
-    out = Tensor._wrap(data)
-    tape = active_tape()
-    if tape is not None and tape.tracked(x):
-        xu = x.uid
-
-        def bw(g, acc):
-            _acc_into(acc, xu, make_grad(g))
-
-        tape._push(out.uid, bw)
-    return out
+    ad, bd, ash, bsh = a.data, b.data, a.data.shape, b.data.shape
+    return _node(_pairwise(np.multiply, a, b, "mul"),
+                 (a, lambda g: _unbroadcast(g * bd, ash)),
+                 (b, lambda g: _unbroadcast(g * ad, bsh)))
 
 
 def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
-    return _elementwise_one(x, x.data * c, lambda g: g * c)
+    return _node(x.data * c, (x, lambda g: g * c))
 
 
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
-    return _elementwise_one(x, y, lambda g: g * (1.0 - y * y))
+    return _node(y, (x, lambda g: g * (1.0 - y * y)))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     y = 1.0 / (1.0 + np.exp(-x.data))
-    return _elementwise_one(x, y, lambda g: g * y * (1.0 - y))
+    return _node(y, (x, lambda g: g * y * (1.0 - y)))
 
 
 def relu(x: Tensor) -> Tensor:
     mask = x.data > 0.0
-    return _elementwise_one(x, np.where(mask, x.data, 0.0), lambda g: g * mask)
+    return _node(np.where(mask, x.data, 0.0), (x, lambda g: g * mask))
 
 
 def square(x: Tensor) -> Tensor:
     xd = x.data
-    return _elementwise_one(x, xd * xd, lambda g: g * (2.0 * xd))
+    return _node(xd * xd, (x, lambda g: g * (2.0 * xd)))
 
 
 def mean(x: Tensor) -> Tensor:
-    size = x.data.size
-    shape = x.data.shape
-    out = Tensor._wrap(np.asarray(x.data.mean()))
-    tape = active_tape()
-    if tape is not None and tape.tracked(x):
-        xu = x.uid
-
-        def bw(g, acc):
-            _acc_into(acc, xu, np.full(shape, float(g) / size))
-
-        tape._push(out.uid, bw)
-    return out
+    size, shape = x.data.size, x.data.shape
+    return _node(x.data.mean(), (x, lambda g: np.full(shape, float(g) / size)))
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     old = x.data.shape
-    out = Tensor._wrap(x.data.reshape(shape).copy())
-    tape = active_tape()
-    if tape is not None and tape.tracked(x):
-        xu = x.uid
-
-        def bw(g, acc):
-            _acc_into(acc, xu, g.reshape(old))
-
-        tape._push(out.uid, bw)
-    return out
+    return _node(x.data.reshape(shape).copy(), (x, lambda g: g.reshape(old)))
 
 
 def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
     parts = list(parts)
-    out = Tensor._wrap(np.concatenate([p.data for p in parts], axis=axis))
-    tape = active_tape()
-    if tape is not None:
-        tracked = [tape.tracked(p) for p in parts]
-        if any(tracked):
-            uids = [p.uid for p in parts]
-            sizes = [p.data.shape[axis] for p in parts]
-            offsets = np.cumsum([0] + sizes)
-
-            def bw(g, acc):
-                for i, uid in enumerate(uids):
-                    if tracked[i]:
-                        sl = [slice(None)] * g.ndim
-                        sl[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
-                        _acc_into(acc, uid, g[tuple(sl)])
-
-            tape._push(out.uid, bw)
-    return out
+    data = np.concatenate([p.data for p in parts], axis=axis)
+    edges, lo = [], 0
+    for p in parts:
+        hi = lo + p.data.shape[axis]
+        sl = [slice(None)] * data.ndim
+        sl[axis] = slice(lo, hi)
+        edges.append((p, itemgetter(tuple(sl))))
+        lo = hi
+    return _node(data, *edges)
 
 
 def stack(parts: Iterable[Tensor]) -> Tensor:
     """Stack same-shape tensors along a new leading axis."""
     parts = list(parts)
-    out = Tensor._wrap(np.stack([p.data for p in parts], axis=0))
-    tape = active_tape()
-    if tape is not None:
-        tracked = [tape.tracked(p) for p in parts]
-        if any(tracked):
-            uids = [p.uid for p in parts]
-
-            def bw(g, acc):
-                for i, uid in enumerate(uids):
-                    if tracked[i]:
-                        _acc_into(acc, uid, g[i])
-
-            tape._push(out.uid, bw)
-    return out
+    return _node(np.stack([p.data for p in parts], axis=0),
+                 *[(p, itemgetter(i)) for i, p in enumerate(parts)])
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -360,18 +316,14 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     sl = [slice(None)] * x.data.ndim
     sl[axis] = slice(start, start + length)
     sl = tuple(sl)
-    out = Tensor._wrap(x.data[sl].copy())
-    tape = active_tape()
-    if tape is not None and tape.tracked(x):
-        xu, xsh = x.uid, x.data.shape
+    xsh = x.data.shape
 
-        def bw(g, acc):
-            full = np.zeros(xsh)
-            full[sl] = g
-            _acc_into(acc, xu, full)
+    def vjp(g):
+        full = np.zeros(xsh)
+        full[sl] = g
+        return full
 
-        tape._push(out.uid, bw)
-    return out
+    return _node(x.data[sl].copy(), (x, vjp))
 
 
 # ---------------------------------------------------------------------------
@@ -424,24 +376,13 @@ def conv2d(x: Tensor, w: Tensor, stride: int = 2, padding: int = 1) -> Tensor:
         raise ShapeError(f"conv2d output collapsed for input {x.data.shape} (node {x.uid})")
     cols = _im2col(x.data, k, stride, padding, oh, ow)
     w2 = w.data.reshape(f, c * k * k)
-    out = Tensor._wrap(np.matmul(w2, cols).reshape(n, f, oh, ow))
-    tape = active_tape()
-    if tape is not None:
-        nx, nw = tape.tracked(x), tape.tracked(w)
-        if nx or nw:
-            xu, wu, xsh, wsh = x.uid, w.uid, x.data.shape, w.data.shape
-
-            def bw(g, acc):
-                g3 = g.reshape(n, f, oh * ow)
-                if nw:
-                    gw = np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0)
-                    _acc_into(acc, wu, gw.reshape(wsh))
-                if nx:
-                    gcols = np.matmul(w2.T, g3)
-                    _acc_into(acc, xu, _col2im(gcols, xsh, k, stride, padding, oh, ow))
-
-            tape._push(out.uid, bw)
-    return out
+    xsh, wsh = x.data.shape, w.data.shape
+    return _node(
+        np.matmul(w2, cols).reshape(n, f, oh, ow),
+        (w, lambda g3: np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(wsh)),
+        (x, lambda g3: _col2im(np.matmul(w2.T, g3), xsh, k, stride, padding, oh, ow)),
+        pre=lambda g: g.reshape(n, f, oh * ow),
+    )
 
 
 def conv2d_transpose(x: Tensor, w: Tensor, out_hw: tuple[int, int],
@@ -468,24 +409,13 @@ def conv2d_transpose(x: Tensor, w: Tensor, out_hw: tuple[int, int],
     w2 = w.data.reshape(f, c * k * k)
     x3 = x.data.reshape(n, f, h * wd)
     cols = np.matmul(w2.T, x3)
-    out_shape = (n, c, th, tw)
-    out = Tensor._wrap(_col2im(cols, out_shape, k, stride, padding, h, wd))
-    tape = active_tape()
-    if tape is not None:
-        nx, nw = tape.tracked(x), tape.tracked(w)
-        if nx or nw:
-            xu, wu, wsh = x.uid, w.uid, w.data.shape
-
-            def bw(g, acc):
-                gcols = _im2col(g, k, stride, padding, h, wd)
-                if nx:
-                    _acc_into(acc, xu, np.matmul(w2, gcols).reshape(n, f, h, wd))
-                if nw:
-                    gw2 = np.matmul(x3, gcols.transpose(0, 2, 1)).sum(axis=0)
-                    _acc_into(acc, wu, gw2.reshape(wsh))
-
-            tape._push(out.uid, bw)
-    return out
+    wsh = w.data.shape
+    return _node(
+        _col2im(cols, (n, c, th, tw), k, stride, padding, h, wd),
+        (x, lambda gcols: np.matmul(w2, gcols).reshape(n, f, h, wd)),
+        (w, lambda gcols: np.matmul(x3, gcols.transpose(0, 2, 1)).sum(axis=0).reshape(wsh)),
+        pre=lambda g: _im2col(g, k, stride, padding, h, wd),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -540,28 +470,17 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats: BnStats,
         mu, var = stats.mean, stats.var
     istd = 1.0 / np.sqrt(var + stats.eps)
     xhat = (xd - mu.reshape(bshape)) * istd.reshape(bshape)
-    out = Tensor._wrap(gmm * xhat + bet)
-    tape = active_tape()
-    if tape is not None:
-        nx, ng, nb = tape.tracked(x), tape.tracked(gamma), tape.tracked(beta)
-        if nx or ng or nb:
-            xu, gu, bu = x.uid, gamma.uid, beta.uid
-            count = xd.size // dim
-            istd_b = istd.reshape(bshape)
+    istd_b = istd.reshape(bshape)
+    count = xd.size // dim
 
-            def bw(g, acc):
-                if ng:
-                    _acc_into(acc, gu, (g * xhat).sum(axis=axes))
-                if nb:
-                    _acc_into(acc, bu, g.sum(axis=axes))
-                if nx:
-                    if training:
-                        gsum = g.sum(axis=axes).reshape(bshape)
-                        gxhat = (g * xhat).sum(axis=axes).reshape(bshape)
-                        gx = (gmm * istd_b / count) * (count * g - gsum - xhat * gxhat)
-                    else:
-                        gx = g * gmm * istd_b
-                    _acc_into(acc, xu, gx)
+    def vjp_x(g):
+        if not training:
+            return g * gmm * istd_b
+        gsum = g.sum(axis=axes).reshape(bshape)
+        gxhat = (g * xhat).sum(axis=axes).reshape(bshape)
+        return (gmm * istd_b / count) * (count * g - gsum - xhat * gxhat)
 
-            tape._push(out.uid, bw)
-    return out
+    return _node(gmm * xhat + bet,
+                 (gamma, lambda g: (g * xhat).sum(axis=axes)),
+                 (beta, lambda g: g.sum(axis=axes)),
+                 (x, vjp_x))

@@ -460,6 +460,7 @@ def read_outcomes(path) -> list[dict]:
         row = dict(zip(header, cells))
         row["trial"] = int(row["trial"])
         row["ticks"] = int(row["ticks"])
+        row["closed_tick"] = int(row["closed_tick"]) if row["closed_tick"] else None
         for f in {"timeout", "clipped"} & row.keys():   # older: no clipped
             row[f] = bool(int(row[f]))
         for f in ("x", "y", "yaw"):

@@ -68,6 +68,6 @@ def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         if len(raw) != ent["nbytes"]:
             raise CheckpointError(f"{path}: truncated payload for {ent['name']!r}")
         arr = np.frombuffer(raw, dtype=_DTYPES[ent["dtype"]]).reshape(ent["shape"])
-        arrays[ent["name"]] = arr.astype(ent["dtype"]).copy()
+        arrays[ent["name"]] = arr.astype(ent["dtype"])     # a fresh, writable copy
         off += ent["nbytes"]
     return arrays, header["meta"]

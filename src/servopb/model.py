@@ -63,7 +63,9 @@ class Normalizer:
     Fitted min-max so the data range lands on [-HEADROOM, +HEADROOM];
     constant dimensions get scale 1 and shift equal to the constant.
     `limit` is where the training extremes land after mapping (0 for
-    constants); normalize_clipped() clamps to it.
+    constants); normalize_clipped() clamps to it, and reports clipping
+    only on dimensions that varied in training (a constant dimension is
+    pinned to its constant by design).
     """
 
     def __init__(self, shift: np.ndarray, scale: np.ndarray, limit=HEADROOM):
@@ -106,7 +108,7 @@ class Normalizer:
         """Normalize and clamp into the fitted training range."""
         y = self.normalize(x)
         lim = self.limit
-        clipped = bool(np.any(y < -lim) or np.any(y > lim))
+        clipped = bool(np.any(((y < -lim) | (y > lim)) & (lim > 0)))
         return np.clip(y, -lim, lim), clipped
 
     def arrays(self, prefix: str) -> dict[str, np.ndarray]:

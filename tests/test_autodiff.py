@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -332,3 +335,65 @@ def test_gradients_are_fresh_zeros_not_shared():
     a = grads.get(x)
     a += 5.0
     np.testing.assert_array_equal(grads.get(x), np.zeros(2))
+
+
+def test_tape_frees_arrays_no_backward_step_needs():
+    # add needs only its operands' shapes, so once the caller drops the
+    # matmul's output nothing on the tape may keep that array alive.
+    rng = np.random.default_rng(80)
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 5)))
+    b = Tensor(rng.normal(size=(5,)), requires_grad=True)
+    tape = Tape()
+    with recording(tape):
+        h = ad.matmul(x, w)
+        loss = ad.mean(ad.add(h, b))
+    freed = weakref.ref(h.data)
+    del h
+    gc.collect()
+    assert freed() is None
+    grads = backward(tape, loss)
+    np.testing.assert_allclose(grads.get(b), np.full(5, 1.0 / 5.0))
+    np.testing.assert_allclose(grads.get(x), np.tile(w.data.sum(axis=1) / 20.0, (4, 1)))
+
+
+def _raising_vjp(g):
+    raise AssertionError("vjp of an untracked input called")
+
+
+def test_node_skips_untracked_edges():
+    x = Tensor(np.arange(3.0), requires_grad=True)
+    c = Tensor(np.ones(3))
+    tape = Tape()
+    with recording(tape):
+        y = ad._node(x.data * 2.0, (c, _raising_vjp), (x, lambda g: 2.0 * g))
+        loss = ad.mean(y)
+    np.testing.assert_allclose(backward(tape, loss).get(x), np.full(3, 2.0 / 3.0))
+
+
+def test_node_without_tracked_input_records_nothing():
+    c = Tensor(np.ones(3))
+    tape = Tape()
+    with recording(tape):
+        out = ad._node(c.data + 1.0, (c, _raising_vjp))
+    assert len(tape) == 0
+    assert not tape.tracked(out)
+
+
+def test_node_pre_runs_once_per_backward_step():
+    a = Tensor(np.ones(2), requires_grad=True)
+    b = Tensor(np.full(2, 3.0), requires_grad=True)
+    calls = []
+
+    def pre(g):
+        calls.append(g.copy())
+        return 10.0 * g
+
+    tape = Tape()
+    with recording(tape):
+        y = ad._node(a.data + b.data, (a, lambda g: g), (b, lambda g: -g), pre=pre)
+        loss = ad.mean(y)
+    grads = backward(tape, loss)
+    assert len(calls) == 1
+    np.testing.assert_allclose(grads.get(a), np.full(2, 5.0))
+    np.testing.assert_allclose(grads.get(b), np.full(2, -5.0))

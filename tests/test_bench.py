@@ -271,6 +271,20 @@ class TestEvalTable:
         assert keys == sorted(keys)
         assert {r["mode"] for r in rows} == {"correct", "wrong", "online",
                                              "baseline"}
+        for r in rows:                        # no grasp times out here
+            assert not r["timeout"] and type(r["closed_tick"]) is int
+            assert 0 <= r["closed_tick"] < r["ticks"]
+
+    def test_closed_tick_none_on_timeout(self, smoke_run, sc, tmp_path):
+        run = tmp_path / "copy"
+        shutil.copytree(smoke_run, run)
+        short = replace(sc, servo={**sc.servo, "max_ticks": 2})
+        bench.stage_eval(run, short, SEED, states=["c1-j0"], objects=["L-25"],
+                         trials=1, modes=("correct", "baseline"),
+                         out_name="short.csv")
+        rows = {r["mode"]: r for r in read_outcomes(run / "eval" / "short.csv")}
+        assert rows["correct"]["timeout"] and rows["correct"]["closed_tick"] is None
+        assert type(rows["baseline"]["closed_tick"]) is int
 
     def test_modes_share_placements(self, smoke_run):
         rows = read_outcomes(smoke_run / "eval" / "outcomes.csv")

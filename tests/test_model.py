@@ -44,6 +44,16 @@ class TestNormalizer:
         y, clipped = norm.normalize_clipped(np.array([2.0]))
         assert clipped and y[0] == pytest.approx(0.9)
 
+    def test_constant_dimension_clamped_but_not_flagged(self):
+        data = np.stack([np.linspace(0, 1, 11), np.zeros(11)], axis=1)
+        norm = Normalizer.fit(data)
+        y, clipped = norm.normalize_clipped(np.array([0.5, 0.3]))
+        assert not clipped
+        np.testing.assert_array_equal(norm.denormalize(y), [0.5, 0.0])
+        y, clipped = norm.normalize_clipped(np.array([2.0, 0.3]))
+        assert clipped
+        np.testing.assert_allclose(norm.denormalize(y), [1.0, 0.0])
+
     def test_array_roundtrip(self):
         norm = Normalizer.fit(np.random.default_rng(0).uniform(0, 1, (20, 3)))
         back = Normalizer.from_arrays(norm.arrays("n"), "n")
