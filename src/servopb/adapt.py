@@ -79,9 +79,6 @@ class ObservationBuffer:
         u = np.stack([u for _, _, u in self._items])
         return s, u
 
-    def clear(self) -> None:
-        self._items.clear()
-
 
 @dataclass(frozen=True)
 class AdaptRecord:
@@ -127,7 +124,10 @@ class PbAdapter:
     def observe(self, s: np.ndarray, u: np.ndarray) -> bool:
         """Push one step; update p once the buffer reaches threshold.
 
-        Returns True when an update ran."""
+        Returns True when an update ran.  A non-finite (s, u) raises
+        FloatingPointError before it is buffered."""
+        if not (np.isfinite(s).all() and np.isfinite(u).all()):
+            raise FloatingPointError("non-finite observation; not buffered")
         self.buffer.push(s, u, self._tick)
         self._tick += 1
         return self.update_pb()
@@ -142,16 +142,15 @@ class PbAdapter:
     def update_pb(self) -> bool:
         """One adaptation call: n_epoch MomentumSGD steps on p only.
 
-        No-op (returns False) below the buffer threshold.  A non-finite
-        loss or gradient restores p and raises FloatingPointError."""
+        No-op (returns False) below the buffer threshold.  The epochs
+        step a local p and `self.p` is assigned once, after the last, so
+        a FloatingPointError from a non-finite loss or step leaves p
+        unchanged."""
         cfg = self.config
         if len(self.buffer) < cfg.n_thre:
             return False
         model = self.model
         s_raw, u_raw = self.buffer.as_arrays()
-        if not (np.isfinite(s_raw).all() and np.isfinite(u_raw).all()):
-            raise FloatingPointError(
-                "non-finite observations in buffer; p unchanged")
         s_n = model.norm_s.normalize(s_raw)
         u_n = model.norm_u.normalize(u_raw)
         starts = self._window_starts(len(self.buffer))
@@ -161,30 +160,25 @@ class PbAdapter:
         target = Tensor(s_win[1:])
         n_win = len(starts)
 
-        p_before = self.p.copy()
+        p = self.p
         mstate = MomentumState(lr=cfg.lr, momentum=cfg.momentum)
         first_loss = None
         grad_max = 0.0
         for _ in range(cfg.n_epoch):
-            p_t = Tensor(self.p[None, :], requires_grad=True)
+            p_t = Tensor(p[None, :], requires_grad=True)
             tape = Tape()
             with recording(tape):
                 p_rows = ad.concat([p_t] * n_win, axis=0)
                 s_pred, _ = model.net.unroll(model.params, s_win, u_win, p_rows)
                 loss = ad.mean(ad.square(ad.sub(s_pred, target)))
-            if not np.isfinite(loss.data).all():
-                self.p = p_before
-                raise FloatingPointError("non-finite adaptation loss; p unchanged")
             if first_loss is None:
                 first_loss = float(loss.data)
             grads = backward(tape, loss)
             g = grads.get(p_t)
             grad_max = max(grad_max, float(np.linalg.norm(g)))
-            new, mstate, applied = momentum_sgd_step({"p": p_t}, {"p": g}, mstate)
-            if not applied:
-                self.p = p_before
-                raise FloatingPointError("non-finite PB gradient; p unchanged")
-            self.p = new["p"].data[0].copy()
+            new, mstate = momentum_sgd_step({"p": p_t}, {"p": g}, mstate)
+            p = new["p"].data[0]
+        self.p = p.copy()
         self.log.append(AdaptRecord(tick=self.buffer.ticks[-1], p=self.p.copy(),
                                     loss=first_loss, grad_norm=grad_max,
                                     epochs=cfg.n_epoch))

@@ -13,6 +13,11 @@ and the reverse sweep needs no topological sort.
 Tensors are immutable: the wrapped array is marked read-only at
 construction.  Optimizers therefore return fresh tensors instead of
 mutating (see :mod:`servopb.optim`).
+
+Non-finite values have one rule: a NaN or Inf raises
+``FloatingPointError`` where it enters a tensor, from :class:`Tensor`
+or from :func:`backward` on a non-finite loss.  Op outputs are not
+re-checked; the loss check catches anything a forward pass produced.
 """
 
 from __future__ import annotations
@@ -63,14 +68,16 @@ _UID = itertools.count(1)
 
 
 class Tensor:
-    """Immutable float64 array with an identity used by the tape."""
+    """Immutable float64 array with an identity used by the tape.
+
+    Raises FloatingPointError if `data` holds a NaN or an Inf."""
 
     __slots__ = ("data", "requires_grad", "uid")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
-            raise ValueError("tensor rejected: non-finite entries")
+            raise FloatingPointError("tensor rejected: non-finite entries")
         arr.flags.writeable = False
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -153,12 +160,13 @@ class Gradients:
 def backward(tape: Tape, loss: Tensor) -> Gradients:
     """Accumulate d(loss)/d(tensor) for every tracked tensor on `tape`.
 
-    `loss` must be scalar-sized and produced under the tape.
+    `loss` must be scalar-sized and produced under the tape; a
+    non-finite loss raises FloatingPointError.
     """
     if loss.data.size != 1:
         raise ShapeError(f"loss must be scalar, got shape {loss.data.shape} (node {loss.uid})")
     if not np.isfinite(loss.data).all():
-        raise ValueError("loss is non-finite")
+        raise FloatingPointError("loss is non-finite")
     acc: dict[int, np.ndarray] = {loss.uid: np.ones_like(loss.data)}
     for out_uid, bw in reversed(tape._entries):
         g = acc.pop(out_uid, None)
@@ -430,12 +438,6 @@ class BnStats:
         self.var = np.ones(dim)
         self.momentum = float(momentum)
         self.eps = float(eps)
-
-    def copy(self) -> "BnStats":
-        other = BnStats(self.mean.size, self.momentum, self.eps)
-        other.mean = self.mean.copy()
-        other.var = self.var.copy()
-        return other
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor, stats: BnStats,

@@ -214,7 +214,7 @@ def train_codec(frames: np.ndarray, config: CodecConfig | None = None,
                 loss = ad.mean(ad.square(ad.sub(recon, xb)))
             grads = ad.backward(tape, loss)
             gdict = {k: grads.get(v) for k, v in params.items()}
-            params, state, _ = adam_step(params, gdict, state)
+            params, state = adam_step(params, gdict, state)
             epoch_loss += float(loss.data)
             nb += 1
         losses.append(epoch_loss / max(nb, 1))

@@ -349,10 +349,7 @@ def train_vsnpb(latents: np.ndarray, commands: np.ndarray, state_idx: np.ndarray
                                     Tensor(target[rows].transpose(1, 0, 2)))
             grads = backward(tape, loss)
             gdict = {name: grads.get(t) for name, t in params.items()}
-            params, opt, applied = adam_step(params, gdict, opt)
-            if not applied:
-                raise FloatingPointError(
-                    f"non-finite gradients at epoch {epoch}")
+            params, opt = adam_step(params, gdict, opt)
             batch_losses.append(float(loss.data))
         losses.append(float(np.mean(batch_losses)))
         pb_history.append(params["pb"].data.copy())

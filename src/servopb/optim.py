@@ -1,9 +1,10 @@
 """Functional optimizers over name-keyed parameter dicts.
 
 Parameters are immutable tensors, so an update step returns a fresh
-``{name: Tensor}`` dict plus a fresh optimizer state.  A step whose
-gradients contain non-finite values is rejected: the inputs are returned
-unchanged and the caller is told via the ``applied`` flag.
+``{name: Tensor}`` dict plus a fresh optimizer state, and no success
+flag.  A non-finite gradient gives a non-finite parameter, which the
+fresh ``Tensor`` rejects with FloatingPointError; the inputs are never
+changed.
 """
 
 from __future__ import annotations
@@ -38,14 +39,8 @@ class MomentumState:
     velocity: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def _finite(grads: Grads) -> bool:
-    return all(np.all(np.isfinite(g)) for g in grads.values())
-
-
-def adam_step(params: Params, grads: Grads, state: AdamState) -> tuple[Params, AdamState, bool]:
-    """One Adam update with bias correction.  Returns (params, state, applied)."""
-    if not _finite(grads):
-        return params, state, False
+def adam_step(params: Params, grads: Grads, state: AdamState) -> tuple[Params, AdamState]:
+    """One Adam update with bias correction.  Returns (params, state)."""
     t = state.t + 1
     new = AdamState(state.lr, state.beta1, state.beta2, state.eps, t, {}, {})
     b1, b2 = state.beta1, state.beta2
@@ -60,14 +55,12 @@ def adam_step(params: Params, grads: Grads, state: AdamState) -> tuple[Params, A
         new.v[name] = v
         step = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
         out[name] = Tensor(p.data - step, requires_grad=p.requires_grad)
-    return out, new, True
+    return out, new
 
 
 def momentum_sgd_step(params: Params, grads: Grads,
-                      state: MomentumState) -> tuple[Params, MomentumState, bool]:
+                      state: MomentumState) -> tuple[Params, MomentumState]:
     """Classical momentum: v <- mu v - lr g, p <- p + v."""
-    if not _finite(grads):
-        return params, state, False
     new = MomentumState(state.lr, state.momentum, {})
     out: Params = {}
     for name, p in params.items():
@@ -75,4 +68,4 @@ def momentum_sgd_step(params: Params, grads: Grads,
         v = state.momentum * state.velocity.get(name, 0.0) - state.lr * g
         new.velocity[name] = np.asarray(v, dtype=np.float64)
         out[name] = Tensor(p.data + v, requires_grad=p.requires_grad)
-    return out, new, True
+    return out, new

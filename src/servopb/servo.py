@@ -26,6 +26,8 @@ from .world.render import CameraModel
 __all__ = ["TrialResult", "baseline_grasp_trial", "pixel_to_plane",
            "run_grasp_trial", "servo_step"]
 
+_RETREAT_TICKS = 3
+
 
 def servo_step(model: VsnpbModel, s_t: np.ndarray, u_t: np.ndarray,
                p: np.ndarray, hidden):
@@ -68,8 +70,7 @@ def _result(outcome, timeout, closed_tick, clipped, cmds, execs):
 
 
 def run_grasp_trial(world, model: VsnpbModel, codec, p: np.ndarray, *,
-                    max_ticks: int = 40, lift: float = 0.05,
-                    retreat_ticks: int = 3) -> TrialResult:
+                    max_ticks: int = 40, lift: float = 0.05) -> TrialResult:
     """Drive the arm by forward prediction until the gripper closes.
 
     The world should hold the initial posture with the object already
@@ -110,8 +111,8 @@ def run_grasp_trial(world, model: VsnpbModel, codec, p: np.ndarray, *,
                             q0=q_close, geom=sc.geometry)
     except IkError:
         q_lift = q_close      # hold in place; classification already ran
-    for i in range(1, retreat_ticks + 1):
-        a = i / retreat_ticks
+    for i in range(1, _RETREAT_TICKS + 1):
+        a = i / _RETREAT_TICKS
         cmd = Command((1 - a) * q_close + a * q_lift, 1.0)
         obs = world.step(cmd, render=False)
         cmds.append(cmd.as_array())

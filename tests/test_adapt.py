@@ -5,8 +5,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from servopb import adapt as adapt_mod
 from servopb.adapt import (AdapterConfig, ObservationBuffer, PbAdapter,
                            stream_episode)
+from servopb.autodiff import Gradients
 from servopb.model import VsnpbConfig, VsnpbModel, train_vsnpb
 from servopb.toy import make_toy_dataset
 
@@ -224,8 +226,39 @@ class TestFailureHandling:
         for t in range(9):
             ad.observe(s_seq[t], u_seq[t])
         p_before = ad.p.copy()
+        # rejected before buffering, so the stream goes on unpoisoned
+        for s_bad, u_bad in ((np.array([np.nan]), u_seq[9]),
+                             (s_seq[9], np.full_like(u_seq[9], np.inf))):
+            with pytest.raises(FloatingPointError):
+                ad.observe(s_bad, u_bad)
+            assert len(ad.buffer) == 9 and ad.log == []
+            np.testing.assert_array_equal(ad.p, p_before)
+        assert ad.observe(s_seq[9], u_seq[9]) is True
+        assert len(ad.buffer) == 10 and len(ad.log) == 1
+        assert not np.array_equal(ad.p, p_before)
+
+    def test_non_finite_last_epoch_leaves_p_unchanged(self, toy_trained,
+                                                      monkeypatch):
+        model, _ = toy_trained
+        ad = PbAdapter(model, AdapterConfig(n_epoch=3))
+        s_seq, u_seq = fresh_sequence(0, 63, model)
+        for t in range(9):
+            ad.observe(s_seq[t], u_seq[t])
+        real, calls = adapt_mod.backward, []
+
+        def nan_on_third(tape, loss):
+            calls.append(None)
+            grads = real(tape, loss)
+            if len(calls) < 3:
+                return grads
+            return Gradients({k: np.full_like(g, np.nan)
+                              for k, g in grads._acc.items()})
+
+        monkeypatch.setattr(adapt_mod, "backward", nan_on_third)
+        p_before = ad.p.copy()
         with pytest.raises(FloatingPointError):
-            ad.observe(np.array([np.nan]), u_seq[9])
+            ad.observe(s_seq[9], u_seq[9])
+        assert len(calls) == 3 and ad.log == []
         np.testing.assert_array_equal(ad.p, p_before)
 
     def test_stream_length_mismatch(self, toy_trained):

@@ -59,8 +59,17 @@ def test_tensor_is_immutable():
 
 
 def test_tensor_rejects_nonfinite():
-    with pytest.raises(ValueError):
+    with pytest.raises(FloatingPointError):
         Tensor(np.array([1.0, np.nan]))
+
+
+def test_backward_rejects_nonfinite_loss():
+    x = Tensor(np.array([1e200]), requires_grad=True)
+    tape = Tape()
+    with recording(tape), np.errstate(over="ignore"):
+        loss = ad.mean(ad.square(x))
+    with pytest.raises(FloatingPointError):
+        backward(tape, loss)
 
 
 def test_unused_parameter_gets_zero_gradient():

@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from servopb import autodiff as ad
 from servopb.codec import CodecConfig, ConvAutoencoder, frames_to_float, train_codec
 from servopb.nn import params_to_arrays
 
@@ -80,3 +82,18 @@ def test_save_load_roundtrip_preserves_encoding(tmp_path):
     loaded = ConvAutoencoder.load(tmp_path / "codec.bin")
     probe = make_frames(3, 16, 16, 10)
     np.testing.assert_array_equal(res.model.encode(probe), loaded.encode(probe))
+
+
+def test_non_finite_gradient_raises(monkeypatch):
+    # one parameter's gradient turns NaN: the step must raise, not be skipped
+    real = ad.backward
+
+    def one_nan(tape, loss):
+        acc = dict(real(tape, loss)._acc)
+        uid = min(acc)
+        acc[uid] = np.full_like(acc[uid], np.nan)
+        return ad.Gradients(acc)
+
+    monkeypatch.setattr(ad, "backward", one_nan)
+    with pytest.raises(FloatingPointError):
+        train_codec(make_frames(4, 16, 16, 5), TINY, seed=0, epochs=1, batch_size=4)

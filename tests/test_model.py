@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from servopb import autodiff as ad
+from servopb import model as model_mod
 from servopb.autodiff import Tape, Tensor, backward, recording
 from servopb.model import (Normalizer, VsnpbConfig, VsnpbModel, VsnpbNet,
                            _gather_pb, sequence_error, train_vsnpb)
@@ -161,6 +162,17 @@ class TestTraining:
         for k in r1.model.params:
             np.testing.assert_array_equal(r1.model.params[k].data,
                                           r2.model.params[k].data)
+
+    def test_non_finite_gradient_raises(self, monkeypatch):
+        real = model_mod.backward
+
+        def all_nan(tape, loss):
+            return ad.Gradients({k: np.full_like(g, np.nan)
+                                 for k, g in real(tape, loss)._acc.items()})
+
+        monkeypatch.setattr(model_mod, "backward", all_nan)
+        with pytest.raises(FloatingPointError):
+            toy_model(epochs=1)
 
     def test_identical_data_under_two_labels_gets_identical_pb(self):
         rng = substream(4, "twin")

@@ -9,8 +9,7 @@ def test_adam_first_step_matches_hand_calc():
     # grad 1, lr 1e-3: m_hat=1, v_hat=1 => step = lr/(1+eps) ~= 1e-3
     params = {"w": Tensor(np.array([0.0]))}
     grads = {"w": np.array([1.0])}
-    new, state, applied = adam_step(params, grads, AdamState(lr=1e-3))
-    assert applied
+    new, state = adam_step(params, grads, AdamState(lr=1e-3))
     np.testing.assert_allclose(new["w"].data, [-1e-3 / (1 + 1e-8)], rtol=1e-12)
     assert state.t == 1
 
@@ -26,8 +25,7 @@ def test_adam_matches_reference_loop():
     ref = p.copy()
     for t in range(1, 8):
         g = rng.normal(size=(4,))
-        params, state, ok = adam_step(params, {"w": g}, state)
-        assert ok
+        params, state = adam_step(params, {"w": g}, state)
         m = 0.9 * m + 0.1 * g
         v = 0.999 * v + 0.001 * g * g
         ref = ref - 0.01 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
@@ -40,27 +38,32 @@ def test_momentum_two_steps_hand_calc():
     #   v2 = -0.19       p2 = -0.29
     params = {"w": Tensor(np.array([0.0]))}
     state = MomentumState(lr=0.1, momentum=0.9)
-    params, state, _ = momentum_sgd_step(params, {"w": np.array([1.0])}, state)
+    params, state = momentum_sgd_step(params, {"w": np.array([1.0])}, state)
     np.testing.assert_allclose(params["w"].data, [-0.1], rtol=1e-14)
-    params, state, _ = momentum_sgd_step(params, {"w": np.array([1.0])}, state)
+    params, state = momentum_sgd_step(params, {"w": np.array([1.0])}, state)
     np.testing.assert_allclose(params["w"].data, [-0.29], rtol=1e-14)
 
 
 def test_nonfinite_gradient_rejects_step():
-    params = {"w": Tensor(np.array([1.0, 2.0])), "b": Tensor(np.array([3.0]))}
+    # the non-finite parameter is rejected by Tensor; no input is touched
+    params = {"b": Tensor(np.array([3.0])), "w": Tensor(np.array([1.0, 2.0]))}
     state = AdamState(lr=0.1, t=4, m={"w": np.ones(2), "b": np.ones(1)},
                       v={"w": np.ones(2), "b": np.ones(1)})
-    grads = {"w": np.array([np.nan, 0.0]), "b": np.array([1.0])}
-    out, new_state, applied = adam_step(params, grads, state)
-    assert not applied
-    assert out is params
-    assert new_state is state
-    assert new_state.t == 4
-
-    mstate = MomentumState()
-    out2, ms2, ok = momentum_sgd_step(params, {"w": np.array([np.inf, 0.0]),
-                                               "b": np.zeros(1)}, mstate)
-    assert not ok and out2 is params and ms2 is mstate
+    mstate = MomentumState(velocity={"b": np.ones(1)})
+    for bad in (np.nan, np.inf, -np.inf):
+        grads = {"b": np.array([1.0]), "w": np.array([bad, 0.0])}
+        with pytest.raises(FloatingPointError), np.errstate(invalid="ignore"):
+            adam_step(params, grads, state)
+        with pytest.raises(FloatingPointError):
+            momentum_sgd_step(params, grads, mstate)
+    assert state.t == 4
+    for name in ("w", "b"):
+        np.testing.assert_array_equal(state.m[name], 1.0)
+        np.testing.assert_array_equal(state.v[name], 1.0)
+    assert list(mstate.velocity) == ["b"]
+    np.testing.assert_array_equal(mstate.velocity["b"], 1.0)
+    np.testing.assert_array_equal(params["w"].data, [1.0, 2.0])
+    np.testing.assert_array_equal(params["b"].data, [3.0])
 
 
 def test_steps_do_not_mutate_inputs():
@@ -81,11 +84,11 @@ def test_momentum_descends_quadratic(seed):
     state = MomentumState(lr=0.05, momentum=0.9)
     for _ in range(400):
         g = params["p"].data - target
-        params, state, _ = momentum_sgd_step(params, {"p": g}, state)
+        params, state = momentum_sgd_step(params, {"p": g}, state)
     np.testing.assert_allclose(params["p"].data, target, atol=1e-6)
 
 
 def test_adam_preserves_requires_grad_flag():
     params = {"w": Tensor(np.zeros(2), requires_grad=True)}
-    params, _, _ = adam_step(params, {"w": np.ones(2)}, AdamState())
+    params, _ = adam_step(params, {"w": np.ones(2)}, AdamState())
     assert params["w"].requires_grad

@@ -184,7 +184,7 @@ class TestGraspTrial:
         model = random_model(seed=10, gripper_limit=0.0, gripper_shift=1.0)
         world = ArmWorld(sc, sc.body_states["c1-j0"])
         res = run_grasp_trial(world, model, IdentityCodec(), np.zeros(2),
-                              max_ticks=10, retreat_ticks=3)
+                              max_ticks=10)
         assert res.closed_tick == 0
         assert res.ticks == 1 + 3
         assert np.all(res.commands[1:, 6] == 1.0)
@@ -203,7 +203,7 @@ class TestGraspTrial:
         model = CloseAt(random_model(seed=11), 10**6 if close_tick is None else close_tick)
         world = ArmWorld(sc, sc.body_states["c2-j1"])
         res = run_grasp_trial(world, model, CountingCodec(), np.zeros(2),
-                              max_ticks=6, retreat_ticks=3)
+                              max_ticks=6)
         assert res.closed_tick == close_tick
         assert res.ticks == (6 if close_tick is None else close_tick + 1 + 3)
         # the initial frame plus one per open-gripper tick
