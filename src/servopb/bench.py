@@ -16,7 +16,7 @@ Run directory layout:
 
     manifest.json     provenance: seeds, checksums, timestamps
     episodes/         raw collected episodes (frames + commands)
-    latents/          the same episodes through the codec, JSON lines
+    latents/          the same episodes through the codec (latents + commands)
     codec.ckpt        autoencoder
     model.ckpt        predictor + PB table
     train_stats.bin   training losses and the PB trajectory per epoch
@@ -38,11 +38,11 @@ import numpy as np
 from .adapt import AdapterConfig, PbAdapter, stream_episode
 from .codec import CodecConfig, ConvAutoencoder, train_codec
 from .collect import collect_dataset, collect_episode, sample_placement
-from .data import TrainingSet, encode_raw, load_raw, save_episode, save_raw
+from .data import encode_raw, load_raw, load_training_set, save_episode, save_raw
 from .model import VsnpbConfig, VsnpbModel, train_vsnpb
 from .rng import substream
 from .servo import baseline_grasp_trial, run_grasp_trial
-from .world import ArmWorld, BodyState, load_default, load_scenario
+from .world import ArmWorld, BodyState
 from .checkpoint import save_arrays, load_arrays  # perfbench traces both
 
 __all__ = ["EVAL_MODES", "Preset", "StageError", "dataset_digest",
@@ -149,37 +149,43 @@ def _save_manifest(run: Path, manifest: dict) -> None:
                                               sort_keys=True) + "\n")
 
 
-def _scenario_digest(scenario_path) -> str:
-    if scenario_path is None:
-        from importlib.resources import files
-        blob = (files("servopb") / "scenarios" / "default.yaml").read_bytes()
-        return hashlib.sha256(blob).hexdigest()
-    return file_digest(Path(scenario_path))
-
-
-def _open_manifest(run: Path, scenario_path, seed: int, *,
-                   create: bool = False) -> dict:
+def _open_manifest(run: Path, sc, seed: int, *, create: bool = False) -> dict:
     """The run's manifest, checked against this call's scenario and seed.
 
     With `create`, a run without a manifest starts a fresh one."""
-    sc_digest = _scenario_digest(scenario_path)
     if create and not _manifest_path(run).exists():
-        return {"scenario_checksum": sc_digest, "seed": seed, "stages": {}}
+        return {"scenario_checksum": sc.checksum, "seed": seed, "stages": {}}
     manifest = load_manifest(run)
-    if manifest["scenario_checksum"] != sc_digest:
+    if manifest["scenario_checksum"] != sc.checksum:
         raise StageError("scenario does not match the one this run was "
                          "collected with",
                          {"expected": manifest["scenario_checksum"],
-                          "found": sc_digest})
+                          "found": sc.checksum})
     if manifest["seed"] != seed:
         raise StageError("seed differs from the run's recorded seed",
                          {"expected": manifest["seed"], "found": seed})
     return manifest
 
 
+# entry key -> (its artifact, the command that writes it); a
+# 'group/name' key fills its name into the group's artifact
+_ARTIFACTS = {"dataset": ("episodes/*.bin", "collect"),
+              "codec": ("codec.ckpt", "train-codec"),
+              "latents": ("latents/*.bin", "train-codec"),
+              "model": ("model.ckpt", "train"),
+              "adapt": ("adapt/{}.json", "adapt"),
+              "eval": ("eval/{}", "eval")}
+
+
+def _artifact(key: str) -> str:
+    group, _, name = key.partition("/")
+    return _ARTIFACTS[group][0].format(name)
+
+
 def _stage_error(key: str, message: str, **report) -> StageError:
+    writer = _ARTIFACTS[key.partition("/")[0]][1]
     return StageError(message, {"stage": key, **report,
-                                "hint": f"re-run the stage that writes {key}"})
+                                "hint": f"re-run `servopb {writer}`"})
 
 
 def _entry(manifest: dict, key: str) -> dict:
@@ -200,10 +206,10 @@ def _artifact_digest(run: Path, artifact: str) -> str | None:
     return file_digest(path) if path.exists() else None
 
 
-def _record(run: Path, manifest: dict, key: str, artifact: str, inputs,
-            **info) -> dict:
+def _record(run: Path, manifest: dict, key: str, inputs, **info) -> dict:
     """Write and save `key`'s entry: its artifact's checksum and the
     current checksum of each input it was made from."""
+    artifact = _artifact(key)
     entry = {"artifact": artifact, "checksum": _artifact_digest(run, artifact),
              "completed": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
              "inputs": {k: _entry(manifest, k)["checksum"] for k in inputs},
@@ -216,15 +222,20 @@ def _record(run: Path, manifest: dict, key: str, artifact: str, inputs,
 
 
 def _verified(run: Path, manifest: dict, key: str) -> dict:
-    """`key`'s entry, once its artifact re-hashes to its checksum and its
-    inputs, transitively, equal their entries (upstream is not re-hashed)."""
+    """`key`'s entry, once it names the artifact this layout reads, the
+    artifact re-hashes to its checksum and its inputs, transitively, equal
+    their entries (upstream is not re-hashed)."""
     entry = _entry(manifest, key)
-    artifact = entry.get("artifact")    # absent in an older manifest layout
-    found = artifact and _artifact_digest(run, artifact)
-    if found is None or found != entry.get("checksum"):
+    artifact = _artifact(key)
+    if entry.get("artifact") != artifact:     # written by an older layout
+        raise _stage_error(key, f"stage {key!r} was written in an older "
+                           "run layout", expected=artifact,
+                           found=entry.get("artifact"))
+    found = _artifact_digest(run, artifact)
+    if found is None or found != entry["checksum"]:
         raise _stage_error(key, f"artifact of stage {key!r} is missing, "
                            "changed or unrecorded", artifact=artifact,
-                           expected=entry.get("checksum"), found=found)
+                           expected=entry["checksum"], found=found)
     pending = [key]     # entries only name earlier entries: no cycles
     while pending:
         stage = pending.pop()
@@ -241,11 +252,11 @@ def _verified(run: Path, manifest: dict, key: str) -> dict:
 # -- stages ------------------------------------------------------------
 
 def stage_collect(run, sc, seed: int, preset: Preset, *,
-                  scenario_path=None, progress=None) -> dict:
+                  progress=None) -> dict:
     """Collect the episode corpus and open the run's manifest."""
     run = Path(run)
     run.mkdir(parents=True, exist_ok=True)
-    manifest = _open_manifest(run, scenario_path, seed, create=True)
+    manifest = _open_manifest(run, sc, seed, create=True)
     episodes_dir = run / "episodes"
     episodes_dir.mkdir(exist_ok=True)
     episodes, log = collect_dataset(sc, seed, states=preset.states,
@@ -258,18 +269,18 @@ def stage_collect(run, sc, seed: int, preset: Preset, *,
         if progress is not None:
             progress(f"collected {ep.tag}")
     (episodes_dir / "collect.log").write_text("\n".join(log) + "\n" if log else "")
-    return _record(run, manifest, "dataset", "episodes/*.bin", (),
+    return _record(run, manifest, "dataset", (),
                    episodes=len(episodes), preset=preset.name,
                    params={"states": list(preset.states),
                            "objects": list(preset.objects),
                            "trials_per_cell": preset.trials_per_cell})
 
 
-def stage_codec(run, sc, seed: int, preset: Preset, *, scenario_path=None,
+def stage_codec(run, sc, seed: int, preset: Preset, *,
                 progress=None) -> dict:
     """Train the autoencoder, then encode every episode to latents."""
     run = Path(run)
-    manifest = _open_manifest(run, scenario_path, seed)
+    manifest = _open_manifest(run, sc, seed)
     _verified(run, manifest, "dataset")
     raws = [load_raw(f) for f in sorted((run / "episodes").glob("*.bin"))]
     frames = np.concatenate([r.frames for r in raws])
@@ -282,39 +293,37 @@ def stage_codec(run, sc, seed: int, preset: Preset, *, scenario_path=None,
     if progress is not None:
         progress(f"codec loss {result.losses[0]:.5f} -> {result.losses[-1]:.5f}")
     result.model.save(run / "codec.ckpt")
-    entry = _record(run, manifest, "codec", "codec.ckpt", ("dataset",),
+    entry = _record(run, manifest, "codec", ("dataset",),
                     epochs=preset.codec_epochs, final_loss=result.losses[-1])
     latents_dir = run / "latents"
     latents_dir.mkdir(exist_ok=True)
-    for stale in latents_dir.glob("*.jsonl"):
+    for stale in latents_dir.iterdir():   # from an earlier encode, any layout
         stale.unlink()
     for raw in raws:
-        save_episode(latents_dir / f"{raw.tag}.jsonl",
-                     encode_raw(raw, result.model))
-    _record(run, manifest, "latents", "latents/*.jsonl", ("dataset", "codec"))
+        save_episode(latents_dir / f"{raw.tag}.bin", encode_raw(raw, result.model))
+    _record(run, manifest, "latents", ("dataset", "codec"))
     return entry
 
 
-def stage_train(run, sc, seed: int, preset: Preset, *, scenario_path=None,
+def stage_train(run, sc, seed: int, preset: Preset, *,
                 progress=None) -> dict:
     """Train the predictor and PB table on the encoded corpus."""
     run = Path(run)
-    manifest = _open_manifest(run, scenario_path, seed)
+    manifest = _open_manifest(run, sc, seed)
     _verified(run, manifest, "latents")
-    ts = TrainingSet.from_dir(run / "latents")
-    s, u, k = ts.arrays()
+    s, u, k, states = load_training_set(run / "latents")
     cfg = VsnpbConfig(n_s=s.shape[2], n_u=u.shape[2],
                       n_p=int(sc.model["pb_dim"]))
-    result = train_vsnpb(s, u, k, ts.state_names, config=cfg, seed=seed,
+    result = train_vsnpb(s, u, k, states, config=cfg, seed=seed,
                          epochs=preset.model_epochs,
                          batch_size=int(sc.model["batch"]),
                          lr=float(sc.model["lr"]), progress=progress)
     result.model.save(run / "model.ckpt")
     save_arrays(run / "train_stats.bin",
                 {"losses": result.losses, "pb_history": result.pb_history},
-                meta={"states": ts.state_names})
+                meta={"states": states})
     # the model runs in the codec's latent space: adapt and eval pair the two
-    return _record(run, manifest, "model", "model.ckpt", ("latents", "codec"),
+    return _record(run, manifest, "model", ("latents", "codec"),
                    epochs=preset.model_epochs,
                    final_loss=float(result.losses[-1]))
 
@@ -327,14 +336,13 @@ def _load_model_and_codec(run: Path, manifest: dict):
 
 
 def stage_adapt(run, sc, seed: int, state_name: str, *, n_episodes: int = 3,
-                object_name: str = "L-25", scenario_path=None,
-                progress=None) -> dict:
+                object_name: str = "L-25", progress=None) -> dict:
     """Stream fresh scripted episodes in one body state, adapting p online.
 
     The state may be a grid name or an interpolated 'a~b' midpoint; the
     estimate starts at zero and persists across the episodes."""
     run = Path(run)
-    manifest = _open_manifest(run, scenario_path, seed)
+    manifest = _open_manifest(run, sc, seed)
     state = resolve_state(sc, state_name)
     spec = _known(sc.objects, object_name, "object")
     model, codec = _load_model_and_codec(run, manifest)
@@ -362,8 +370,7 @@ def stage_adapt(run, sc, seed: int, state_name: str, *, n_episodes: int = 3,
     (run / "adapt").mkdir(exist_ok=True)
     (run / "adapt" / f"{state_name}.json").write_text(
         json.dumps(payload, indent=2) + "\n")
-    _record(run, manifest, f"adapt/{state_name}", f"adapt/{state_name}.json",
-            ("model", "codec"))
+    _record(run, manifest, f"adapt/{state_name}", ("model", "codec"))
     return payload
 
 
@@ -392,14 +399,13 @@ def _format_cell(v) -> str:
 
 def stage_eval(run, sc, seed: int, *, states, objects, trials: int,
                modes=("correct", "wrong", "baseline"),
-               out_name: str = "outcomes.csv", scenario_path=None,
-               progress=None) -> dict:
+               out_name: str = "outcomes.csv", progress=None) -> dict:
     """Run the grasp-trial grid and write one canonical outcome CSV.
 
     Trial placements are shared across modes so the comparison is
     paired; every mode sees the identical object pose in a fresh world."""
     run = Path(run)
-    manifest = _open_manifest(run, scenario_path, seed)
+    manifest = _open_manifest(run, sc, seed)
     body = {name: resolve_state(sc, name) for name in states}
     specs = {name: _known(sc.objects, name, "object") for name in objects}
     model, codec = _load_model_and_codec(run, manifest)
@@ -443,7 +449,7 @@ def stage_eval(run, sc, seed: int, *, states, objects, trials: int,
     (run / "eval").mkdir(exist_ok=True)
     (run / "eval" / out_name).write_text("\n".join(lines) + "\n")
     online = [f"adapt/{s}" for s in states] if "online" in modes else []
-    return _record(run, manifest, f"eval/{out_name}", f"eval/{out_name}",
+    return _record(run, manifest, f"eval/{out_name}",
                    ("model", "codec", *online), trials=trials,
                    states=list(states), objects=list(objects),
                    modes=list(modes))
@@ -538,9 +544,3 @@ def stage_plotdata(run) -> dict:
         written.append(name)
     return {"written": written, "warnings": warnings}
 
-
-def load_scenario_arg(path) -> tuple:
-    """(scenario, path-or-None) from an optional CLI argument."""
-    if path is None:
-        return load_default(), None
-    return load_scenario(path), path

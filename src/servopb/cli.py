@@ -13,7 +13,8 @@ import json
 import sys
 
 from . import bench
-from .bench import Preset, StageError, load_scenario_arg
+from .bench import Preset, StageError
+from .world import load_default, load_scenario
 
 __all__ = ["build_parser", "main"]
 
@@ -96,7 +97,8 @@ def main(argv=None) -> int:
                           "message": f"--{flag} must be at least 1, got {n}"}, 2)
     progress = None if args.quiet else lambda msg: print(msg, flush=True)
     try:
-        sc, sc_path = load_scenario_arg(args.scenario)
+        sc = (load_default() if args.scenario is None
+              else load_scenario(args.scenario))
         if args.command == "plotdata":
             report = bench.stage_plotdata(args.out)
             print(json.dumps(report, sort_keys=True))
@@ -104,24 +106,23 @@ def main(argv=None) -> int:
         preset = Preset.from_scenario(sc, args.preset)
         if args.command == "collect":
             entry = bench.stage_collect(args.out, sc, args.seed, preset,
-                                        scenario_path=sc_path, progress=progress)
+                                        progress=progress)
             summary = {"stage": "collect", "episodes": entry["episodes"],
                        "checksum": entry["checksum"]}
         elif args.command == "train-codec":
             entry = bench.stage_codec(args.out, sc, args.seed, preset,
-                                      scenario_path=sc_path, progress=progress)
+                                      progress=progress)
             summary = {"stage": "train-codec", "checksum": entry["checksum"],
                        "final_loss": entry["final_loss"]}
         elif args.command == "train":
             entry = bench.stage_train(args.out, sc, args.seed, preset,
-                                      scenario_path=sc_path, progress=progress)
+                                      progress=progress)
             summary = {"stage": "train", "checksum": entry["checksum"],
                        "final_loss": entry["final_loss"]}
         elif args.command == "adapt":
             payload = bench.stage_adapt(args.out, sc, args.seed, args.state,
                                         n_episodes=args.episodes,
                                         object_name=args.object_name,
-                                        scenario_path=sc_path,
                                         progress=progress)
             summary = {"stage": "adapt", "state": payload["state"],
                        "p_final": payload["p_final"],
@@ -141,7 +142,7 @@ def main(argv=None) -> int:
             entry = bench.stage_eval(args.out, sc, args.seed, states=states,
                                      objects=objects, trials=trials,
                                      modes=modes, out_name=args.name,
-                                     scenario_path=sc_path, progress=progress)
+                                     progress=progress)
             summary = {"stage": "eval", "csv": args.name,
                        "checksum": entry["checksum"]}
     except StageError as err:

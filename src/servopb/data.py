@@ -1,25 +1,26 @@
-"""Episode records and their on-disk forms.
+"""Episode records and their on-disk form.
 
-An episode is the logged pick phase of one place-then-pick cycle: 17
-ticks of (latent, command) pairs plus a header carrying the premise
-labels and both executed hand paths.  Text form is JSON lines (header
-first), which round-trips float64 exactly via repr/float.  Raw frames
-are kept separately in the binary array container until a codec exists
-to compress them.
+An episode is the logged pick phase of one place-then-pick cycle.  A
+`RawEpisode` is the episode as collected: 17 ticks of (frame, command)
+pairs plus the premise labels and both executed hand paths.  An
+`Episode` is the same episode through a trained codec: its ids, the
+per-tick latents and the commands, which is all that training and
+adaptation read.  Both are stored in the byte-deterministic array
+container, so float64 arrays round-trip as their raw bytes.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .checkpoint import load_arrays, save_arrays
 
-__all__ = ["Episode", "PHASES", "RawEpisode", "TrainingSet", "episode_tag",
-           "load_episode", "load_raw", "save_episode", "save_raw"]
+__all__ = ["Episode", "PHASES", "RawEpisode", "encode_raw", "episode_tag",
+           "load_episode", "load_raw", "load_training_set", "save_episode",
+           "save_raw"]
 
 PHASES = ("approach", "pregrasp", "lower", "grasp", "retreat")
 
@@ -51,81 +52,31 @@ class RawEpisode:
 
 @dataclass
 class Episode:
+    """A raw episode's ids, latents and commands."""
     object_name: str
     state_name: str
     trial: int
-    seed: int
-    placement: tuple[float, float, float]
-    executed_placement: tuple[float, float, float]
     latents: np.ndarray     # (T, N_s) float64
     commands: np.ndarray    # (T, 7) float64
-    phases: list[str]
-    place_path: np.ndarray
-    pick_path: np.ndarray
-    outcome: str
 
     @property
     def tag(self) -> str:
         return episode_tag(self.state_name, self.object_name, self.trial)
 
-    @property
-    def ticks(self) -> int:
-        return self.latents.shape[0]
-
-
-def _header_dict(ep: Episode) -> dict:
-    return {
-        "object": ep.object_name,
-        "state": ep.state_name,
-        "trial": ep.trial,
-        "seed": ep.seed,
-        "placement": list(ep.placement),
-        "executed_placement": list(ep.executed_placement),
-        "outcome": ep.outcome,
-        "place_path": [list(row) for row in ep.place_path],
-        "pick_path": [list(row) for row in ep.pick_path],
-    }
-
 
 def save_episode(path: str | Path, ep: Episode) -> None:
-    if len(ep.phases) != ep.latents.shape[0] or ep.commands.shape[0] != ep.latents.shape[0]:
-        raise ValueError("latents, commands, phases must share tick count")
-    bad = [p for p in ep.phases if p not in PHASES]
-    if bad:
-        raise ValueError(f"unknown phase tags: {bad}")
-    lines = [json.dumps(_header_dict(ep), sort_keys=True)]
-    for t in range(ep.latents.shape[0]):
-        rec = {"tick": t,
-               "z": [float(v) for v in ep.latents[t]],
-               "u": [float(v) for v in ep.commands[t]],
-               "phase": ep.phases[t]}
-        lines.append(json.dumps(rec, sort_keys=True))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if ep.commands.shape[0] != ep.latents.shape[0]:
+        raise ValueError("latents and commands must share tick count")
+    save_arrays(path, {"latents": ep.latents, "commands": ep.commands},
+                meta={"object": ep.object_name, "state": ep.state_name,
+                      "trial": ep.trial})
 
 
 def load_episode(path: str | Path) -> Episode:
-    text = Path(path).read_text(encoding="utf-8").strip().splitlines()
-    head = json.loads(text[0])
-    ticks, zs, us, phases = [], [], [], []
-    for line in text[1:]:
-        rec = json.loads(line)
-        ticks.append(rec["tick"])
-        zs.append(rec["z"])
-        us.append(rec["u"])
-        phases.append(rec["phase"])
-    if ticks != list(range(len(ticks))):
-        raise ValueError(f"{path}: tick sequence not contiguous")
-    return Episode(
-        object_name=head["object"], state_name=head["state"],
-        trial=head["trial"], seed=head["seed"],
-        placement=tuple(head["placement"]),
-        executed_placement=tuple(head["executed_placement"]),
-        latents=np.array(zs, dtype=np.float64),
-        commands=np.array(us, dtype=np.float64),
-        phases=phases,
-        place_path=np.array(head["place_path"], dtype=np.float64),
-        pick_path=np.array(head["pick_path"], dtype=np.float64),
-        outcome=head["outcome"])
+    arrays, meta = load_arrays(path)
+    return Episode(object_name=meta["object"], state_name=meta["state"],
+                   trial=meta["trial"], latents=arrays["latents"],
+                   commands=arrays["commands"])
 
 
 def save_raw(path: str | Path, raw: RawEpisode) -> None:
@@ -159,47 +110,25 @@ def load_raw(path: str | Path) -> RawEpisode:
 
 def encode_raw(raw: RawEpisode, codec) -> Episode:
     """Compress a raw episode's frames through a trained codec."""
-    z = codec.encode(raw.frames)
-    return Episode(
-        object_name=raw.object_name, state_name=raw.state_name,
-        trial=raw.trial, seed=raw.seed, placement=raw.placement,
-        executed_placement=raw.executed_placement,
-        latents=z, commands=raw.commands, phases=list(raw.phases),
-        place_path=raw.place_path, pick_path=raw.pick_path,
-        outcome=raw.outcome)
+    return Episode(object_name=raw.object_name, state_name=raw.state_name,
+                   trial=raw.trial, latents=codec.encode(raw.frames),
+                   commands=raw.commands)
 
 
-@dataclass
-class TrainingSet:
-    """Episodes grouped for sequence training, with stable state indexing."""
-    episodes: list[Episode]
-    state_names: list[str] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.state_names:
-            self.state_names = sorted({ep.state_name for ep in self.episodes})
-        missing = {ep.state_name for ep in self.episodes} - set(self.state_names)
-        if missing:
-            raise ValueError(f"episodes reference unlisted states: {sorted(missing)}")
-
-    def state_index(self, name: str) -> int:
-        return self.state_names.index(name)
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(latents (B,T,N_s), commands (B,T,7), state indices (B,))."""
-        eps = sorted(self.episodes, key=lambda e: e.tag)
-        ticks = {e.ticks for e in eps}
-        if len(ticks) != 1:
-            raise ValueError(f"mixed episode lengths: {sorted(ticks)}")
-        s = np.stack([e.latents for e in eps])
-        u = np.stack([e.commands for e in eps])
-        k = np.array([self.state_index(e.state_name) for e in eps], dtype=np.int64)
-        return s, u, k
-
-    @classmethod
-    def from_dir(cls, directory: str | Path, state_names: list[str] | None = None) -> "TrainingSet":
-        paths = sorted(Path(directory).glob("*.jsonl"))
-        if not paths:
-            raise FileNotFoundError(f"no episode files under {directory}")
-        eps = [load_episode(p) for p in paths]
-        return cls(eps, state_names or [])
+def load_training_set(directory: str | Path) -> tuple[np.ndarray, np.ndarray,
+                                                       np.ndarray, list[str]]:
+    """Every episode file under `directory`, in tag order, as (latents
+    (B,T,N_s), commands (B,T,7), state indices (B,), the sorted state
+    names the indices refer to)."""
+    paths = sorted(Path(directory).glob("*.bin"))
+    if not paths:
+        raise FileNotFoundError(f"no episode files under {directory}")
+    eps = sorted((load_episode(p) for p in paths), key=lambda e: e.tag)
+    ticks = {e.latents.shape[0] for e in eps}
+    if len(ticks) != 1:
+        raise ValueError(f"mixed episode lengths: {sorted(ticks)}")
+    names = sorted({e.state_name for e in eps})
+    s = np.stack([e.latents for e in eps])
+    u = np.stack([e.commands for e in eps])
+    k = np.array([names.index(e.state_name) for e in eps], dtype=np.int64)
+    return s, u, k, names

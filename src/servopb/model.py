@@ -94,10 +94,6 @@ class Normalizer:
         shift = np.where(constant, lo, (lo + hi) / 2.0)
         return cls(shift, scale, np.where(constant, 0.0, HEADROOM))
 
-    @property
-    def dim(self) -> int:
-        return self.shift.shape[0]
-
     def normalize(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=np.float64) - self.shift) / self.scale
 

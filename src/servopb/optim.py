@@ -2,9 +2,13 @@
 
 Parameters are immutable tensors, so an update step returns a fresh
 ``{name: Tensor}`` dict plus a fresh optimizer state, and no success
-flag.  A non-finite gradient gives a non-finite parameter, which the
-fresh ``Tensor`` rejects with FloatingPointError; the inputs are never
-changed.
+flag.  A step that cannot be taken raises FloatingPointError naming the
+parameter, and the inputs are never changed: a non-finite gradient
+gives a non-finite parameter, which the fresh ``Tensor`` rejects, and a
+finite gradient too large to square (|g| above about 1e154) overflows
+Adam's second moment, which would otherwise turn every later step of
+that element into 0.  Numpy's overflow and invalid-value warnings are
+raised as that error instead of printed.
 """
 
 from __future__ import annotations
@@ -39,6 +43,20 @@ class MomentumState:
     velocity: dict[str, np.ndarray] = field(default_factory=dict)
 
 
+def _apply(kind: str, params: Params, update) -> Params:
+    """{name: Tensor(update(name, p))}, or FloatingPointError naming the
+    first parameter whose update overflowed or is not finite."""
+    out: Params = {}
+    with np.errstate(over="raise", invalid="raise"):
+        for name, p in params.items():
+            try:
+                out[name] = Tensor(update(name, p), requires_grad=p.requires_grad)
+            except FloatingPointError as err:
+                raise FloatingPointError(
+                    f"{kind} step on parameter {name!r}: {err}") from None
+    return out
+
+
 def adam_step(params: Params, grads: Grads, state: AdamState) -> tuple[Params, AdamState]:
     """One Adam update with bias correction.  Returns (params, state)."""
     t = state.t + 1
@@ -46,26 +64,25 @@ def adam_step(params: Params, grads: Grads, state: AdamState) -> tuple[Params, A
     b1, b2 = state.beta1, state.beta2
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
-    out: Params = {}
-    for name, p in params.items():
+
+    def update(name, p):
         g = grads[name]
-        m = b1 * state.m.get(name, 0.0) + (1.0 - b1) * g
-        v = b2 * state.v.get(name, 0.0) + (1.0 - b2) * g * g
-        new.m[name] = m
-        new.v[name] = v
+        m = new.m[name] = b1 * state.m.get(name, 0.0) + (1.0 - b1) * g
+        v = new.v[name] = b2 * state.v.get(name, 0.0) + (1.0 - b2) * g * g
         step = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
-        out[name] = Tensor(p.data - step, requires_grad=p.requires_grad)
-    return out, new
+        return p.data - step
+
+    return _apply("Adam", params, update), new
 
 
 def momentum_sgd_step(params: Params, grads: Grads,
                       state: MomentumState) -> tuple[Params, MomentumState]:
     """Classical momentum: v <- mu v - lr g, p <- p + v."""
     new = MomentumState(state.lr, state.momentum, {})
-    out: Params = {}
-    for name, p in params.items():
-        g = grads[name]
-        v = state.momentum * state.velocity.get(name, 0.0) - state.lr * g
+
+    def update(name, p):
+        v = state.momentum * state.velocity.get(name, 0.0) - state.lr * grads[name]
         new.velocity[name] = np.asarray(v, dtype=np.float64)
-        out[name] = Tensor(p.data + v, requires_grad=p.requires_grad)
-    return out, new
+        return p.data + v
+
+    return _apply("momentum", params, update), new

@@ -56,10 +56,6 @@ class TrialResult:
     commands: np.ndarray        # (T, 7) actuated commands
     executed: np.ndarray        # (T, 6) executed joints
 
-    @property
-    def success(self) -> bool:
-        return self.outcome in (Outcome.SUCCEEDED, Outcome.ROTATED)
-
 
 def _result(outcome, timeout, closed_tick, clipped, cmds, execs):
     cmds = np.array(cmds).reshape(-1, 7)

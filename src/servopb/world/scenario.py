@@ -1,14 +1,16 @@
 """Scenario: every tunable of the world, protocol, and training runs.
 
 Loaded from YAML so experiments are reproducible from a single file;
-`load_default()` returns the packaged configuration.  The scenario owns
-object specs, the body-state grid (camera offset x joint offset), the
-placement sector, collection protocol timing, and default
+`load_default()` returns the packaged configuration, and `checksum` is
+the sha256 of the YAML bytes read, which run manifests record.  The
+scenario owns object specs, the body-state grid (camera offset x joint
+offset), the placement sector, collection protocol timing, and default
 hyperparameters for the codec, predictor, adapter, and servo loop.
 """
 
 from __future__ import annotations
 
+import hashlib
 import importlib.resources
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -81,6 +83,7 @@ class Scenario:
     finger_drop: float          # closure point below tool plate, m
     joint_noise_deg: float
     noise_seed: int
+    checksum: str               # sha256 of the YAML bytes loaded
     supersample: int = 1
     codec: dict = field(default_factory=dict)
     model: dict = field(default_factory=dict)
@@ -126,7 +129,8 @@ def _build_body_states(raw: dict, sag_gain: float) -> dict[str, BodyState]:
     return states
 
 
-def _parse(raw: dict) -> Scenario:
+def _parse(blob: bytes) -> Scenario:
+    raw = yaml.safe_load(blob.decode("utf-8"))
     geom = ArmGeometry(**raw.get("geometry", {}))
     cam = raw["camera"]
     base_camera = CameraModel.from_lookat(
@@ -197,6 +201,7 @@ def _parse(raw: dict) -> Scenario:
         finger_drop=gp["finger_drop_mm"] / 1000.0,
         joint_noise_deg=float(raw.get("noise", {}).get("joint_noise_deg", 0.0)),
         noise_seed=int(raw.get("noise", {}).get("seed", 0)),
+        checksum=hashlib.sha256(blob).hexdigest(),
         supersample=int(cam.get("supersample", 1)),
         codec=dict(raw.get("codec", {})),
         model=dict(raw.get("model", {})),
@@ -207,12 +212,9 @@ def _parse(raw: dict) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
-    return _parse(raw)
+    return _parse(Path(path).read_bytes())
 
 
 def load_default() -> Scenario:
     ref = importlib.resources.files("servopb").joinpath("scenarios/default.yaml")
-    raw = yaml.safe_load(ref.read_text(encoding="utf-8"))
-    return _parse(raw)
+    return _parse(ref.read_bytes())

@@ -87,13 +87,6 @@ class Command:
     def as_array(self) -> np.ndarray:
         return np.concatenate([self.joint_targets, [self.gripper]])
 
-    @classmethod
-    def from_array(cls, u: np.ndarray) -> "Command":
-        u = np.asarray(u, dtype=np.float64)
-        if u.shape != (7,):
-            raise ValueError(f"command vector must be (7,), got {u.shape}")
-        return cls(u[:6], u[6])
-
 
 @dataclass(frozen=True)
 class Observation:

@@ -6,6 +6,7 @@ mutate the run directory get their own copies."""
 import json
 import shutil
 from dataclasses import replace
+from importlib.resources import files
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from servopb import bench
 from servopb.bench import (Preset, StageError, dataset_digest, file_digest,
                            outcome_rates, read_outcomes, resolve_state,
                            wrong_state)
-from servopb.world import load_default
+from servopb.world import load_default, load_scenario
 
 SEED = 7
 
@@ -116,12 +117,27 @@ class TestManifest:
         entries += [*stages["adapt"].values(), *stages["eval"].values()]
         for entry in entries:
             assert {"artifact", "checksum", "completed", "inputs"} <= set(entry)
-        assert stages["latents"]["artifact"] == "latents/*.jsonl"
+        assert stages["latents"]["artifact"] == "latents/*.bin"
         assert stages["latents"]["inputs"] == {
             "dataset": stages["dataset"]["checksum"],
             "codec": stages["codec"]["checksum"]}
         assert stages["model"]["inputs"]["latents"] == stages["latents"]["checksum"]
         assert "latents_checksum" not in stages["codec"]
+
+    def test_manifest_records_the_scenario_the_stage_ran(self, sc, tmp_path):
+        custom = tmp_path / "custom.yaml"
+        blob = files("servopb").joinpath("scenarios/default.yaml").read_bytes()
+        custom.write_bytes(blob + b"# a copy with one more line\n")
+        preset = replace(Preset.from_scenario(sc, "smoke"), states=("c1-j0",),
+                         trials_per_cell=1)
+        run = tmp_path / "run"
+        bench.stage_collect(run, load_scenario(custom), SEED, preset)
+        recorded = bench.load_manifest(run)["scenario_checksum"]
+        assert recorded == file_digest(custom) != sc.checksum
+        with pytest.raises(StageError) as err:
+            bench.stage_codec(run, sc, SEED, preset)
+        assert (err.value.report["expected"], err.value.report["found"]) == \
+            (recorded, sc.checksum)
 
     def test_missing_stage_reported(self, sc, tmp_path):
         preset = Preset.from_scenario(sc, "smoke")
@@ -164,8 +180,11 @@ class TestProvenance:
         preset = replace(Preset.from_scenario(sc, "smoke"), trials_per_cell=1)
         entry = bench.stage_collect(run, sc, SEED, preset)
         assert len(list((run / "episodes").glob("*.bin"))) == entry["episodes"] == 2
+        (run / "latents" / "c9-j9__L-25__000.jsonl").write_text("{}\n")
         bench.stage_codec(run, sc, SEED, preset)
-        assert len(list((run / "latents").glob("*.jsonl"))) == 2
+        assert sorted(p.name for p in (run / "latents").iterdir()) == \
+            sorted(p.with_suffix(".bin").name
+                   for p in (run / "episodes").glob("*.bin"))
 
     def test_collect_rerun_is_byte_identical(self, smoke_run, sc, tmp_path):
         preset = Preset.from_scenario(sc, "smoke")
@@ -250,6 +269,26 @@ class TestStaleInputs:
         assert rep["stage"] == "adapt/c1-j0"
         assert rep["expected"] == _checksum(smoke_run, "adapt/c1-j0")
         assert rep["found"] == file_digest(path) != rep["expected"]
+
+    def test_json_lines_latents_are_refused(self, smoke_run, sc, tmp_path):
+        # a run encoded before latents moved to the array container
+        run = tmp_path / "copy"
+        shutil.copytree(smoke_run, run)
+        for path in (run / "latents").glob("*.bin"):
+            path.with_suffix(".jsonl").write_text("{}\n")
+            path.unlink()
+        m = bench.load_manifest(run)
+        m["stages"]["latents"]["artifact"] = "latents/*.jsonl"
+        m["stages"]["latents"]["checksum"] = dataset_digest(run / "latents",
+                                                            "*.jsonl")
+        (run / "manifest.json").write_text(json.dumps(m))
+        with pytest.raises(StageError) as err:
+            bench.stage_train(run, sc, SEED, Preset.from_scenario(sc, "smoke"))
+        rep = err.value.report
+        assert rep["stage"] == "latents"
+        assert (rep["expected"], rep["found"]) == ("latents/*.bin",
+                                                   "latents/*.jsonl")
+        assert "train-codec" in rep["hint"]
 
     def test_old_layout_entry_is_a_stage_error(self, smoke_run, sc, tmp_path):
         run = tmp_path / "copy"

@@ -1,72 +1,45 @@
 import numpy as np
 import pytest
 
-from servopb.data import (Episode, RawEpisode, TrainingSet, load_episode,
-                          load_raw, save_episode, save_raw)
+from servopb.data import (Episode, RawEpisode, load_episode, load_raw,
+                          load_training_set, save_episode, save_raw)
 from servopb.rng import substream
 
 
 def make_episode(state="c1-j0", obj="L-25", trial=0, ticks=17, seed=11):
     rng = substream(seed, "test-episode", state, obj, str(trial))
-    return Episode(
-        object_name=obj, state_name=state, trial=trial, seed=seed,
-        placement=(0.24, 0.02, 0.1),
-        executed_placement=(0.2391, 0.0221, 0.1003),
-        latents=rng.uniform(0, 1, (ticks, 15)),
-        commands=rng.uniform(-1, 1, (ticks, 7)),
-        phases=["approach"] * 5 + ["pregrasp"] + ["lower"] * 3 + ["grasp"]
-               + ["retreat"] * (ticks - 10),
-        place_path=rng.uniform(-0.3, 0.3, (ticks, 3)),
-        pick_path=rng.uniform(-0.3, 0.3, (ticks, 3)),
-        outcome="Succeeded")
+    return Episode(object_name=obj, state_name=state, trial=trial,
+                   latents=rng.uniform(0, 1, (ticks, 15)),
+                   commands=rng.uniform(-1, 1, (ticks, 7)))
+
+
+def save_all(directory, episodes):
+    for ep in episodes:
+        save_episode(directory / f"{ep.tag}.bin", ep)
 
 
 class TestEpisodeFile:
     def test_roundtrip_exact(self, tmp_path):
         ep = make_episode()
-        path = tmp_path / "ep.jsonl"
+        ep.latents[0, 0] = np.nextafter(0.1, 1.0)     # repr-hostile values
+        ep.commands[1, 2] = -5e-324
+        path = tmp_path / "ep.bin"
         save_episode(path, ep)
         back = load_episode(path)
-        np.testing.assert_array_equal(back.latents, ep.latents)
-        np.testing.assert_array_equal(back.commands, ep.commands)
-        np.testing.assert_array_equal(back.place_path, ep.place_path)
-        assert back.phases == ep.phases
-        assert back.placement == ep.placement
-        assert back.outcome == "Succeeded"
-
-    def test_header_then_one_line_per_tick(self, tmp_path):
-        ep = make_episode(ticks=17)
-        path = tmp_path / "ep.jsonl"
-        save_episode(path, ep)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 18
-        import json
-        head = json.loads(lines[0])
-        assert head["state"] == "c1-j0" and head["object"] == "L-25"
-        rec = json.loads(lines[1])
-        assert rec["tick"] == 0 and len(rec["z"]) == 15 and len(rec["u"]) == 7
-
-    def test_unknown_phase_rejected(self, tmp_path):
-        ep = make_episode()
-        ep.phases[3] = "wander"
-        with pytest.raises(ValueError):
-            save_episode(tmp_path / "bad.jsonl", ep)
+        for name in ("latents", "commands"):
+            a, b = getattr(back, name), getattr(ep, name)
+            assert a.dtype == b.dtype == np.float64
+            assert a.tobytes() == b.tobytes()
+        assert (back.object_name, back.state_name, back.trial) == \
+            ("L-25", "c1-j0", 0)
+        assert back.tag == ep.tag == "c1-j0__L-25__000"
 
     def test_length_mismatch_rejected(self, tmp_path):
         ep = make_episode()
         ep.commands = ep.commands[:-1]
         with pytest.raises(ValueError):
-            save_episode(tmp_path / "bad.jsonl", ep)
-
-    def test_gap_in_ticks_detected(self, tmp_path):
-        ep = make_episode()
-        path = tmp_path / "ep.jsonl"
-        save_episode(path, ep)
-        lines = path.read_text().strip().splitlines()
-        del lines[4]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError):
-            load_episode(path)
+            save_episode(tmp_path / "bad.bin", ep)
+        assert not (tmp_path / "bad.bin").exists()
 
 
 class TestRawFile:
@@ -90,28 +63,31 @@ class TestRawFile:
 
 
 class TestTrainingSet:
-    def test_arrays_sorted_and_indexed(self):
-        eps = [make_episode(state=s, obj=o, trial=t)
-               for s in ("c2-j0", "c1-j0") for o in ("L-25",) for t in (1, 0)]
-        ts = TrainingSet(eps)
-        s, u, k = ts.arrays()
+    def test_arrays_sorted_and_indexed(self, tmp_path):
+        eps = [make_episode(state=s, obj="L-25", trial=t)
+               for s in ("c2-j0", "c1-j0") for t in (1, 0)]
+        save_all(tmp_path, eps)
+        s, u, k, states = load_training_set(tmp_path)
         assert s.shape == (4, 17, 15) and u.shape == (4, 17, 7)
-        assert ts.state_names == ["c1-j0", "c2-j0"]
+        assert states == ["c1-j0", "c2-j0"]
         np.testing.assert_array_equal(k, [0, 0, 1, 1])
+        in_tag_order = sorted(eps, key=lambda e: e.tag)
+        for i, ep in enumerate(in_tag_order):
+            np.testing.assert_array_equal(s[i], ep.latents)
+            np.testing.assert_array_equal(u[i], ep.commands)
 
-    def test_unlisted_state_rejected(self):
-        with pytest.raises(ValueError):
-            TrainingSet([make_episode(state="c1-j0")], state_names=["c2-j0"])
-
-    def test_mixed_lengths_rejected(self):
-        eps = [make_episode(trial=0), make_episode(trial=1, ticks=16)]
-        with pytest.raises(ValueError):
-            TrainingSet(eps).arrays()
+    def test_mixed_lengths_rejected(self, tmp_path):
+        save_all(tmp_path, [make_episode(trial=0), make_episode(trial=1, ticks=16)])
+        with pytest.raises(ValueError, match="mixed episode lengths"):
+            load_training_set(tmp_path)
 
     def test_from_dir(self, tmp_path):
-        for t in range(3):
-            save_episode(tmp_path / f"e{t}.jsonl", make_episode(trial=t))
-        ts = TrainingSet.from_dir(tmp_path)
-        assert len(ts.episodes) == 3
+        save_all(tmp_path, [make_episode(trial=t) for t in range(3)])
+        s, _, k, states = load_training_set(tmp_path)
+        assert s.shape[0] == 3 and states == ["c1-j0"]
+        np.testing.assert_array_equal(k, [0, 0, 0])
         with pytest.raises(FileNotFoundError):
-            TrainingSet.from_dir(tmp_path / "nowhere")
+            load_training_set(tmp_path / "nowhere")
+        (tmp_path / "empty").mkdir()
+        with pytest.raises(FileNotFoundError):
+            load_training_set(tmp_path / "empty")

@@ -44,6 +44,7 @@ def test_momentum_two_steps_hand_calc():
     np.testing.assert_allclose(params["w"].data, [-0.29], rtol=1e-14)
 
 
+@pytest.mark.filterwarnings("error")
 def test_nonfinite_gradient_rejects_step():
     # the non-finite parameter is rejected by Tensor; no input is touched
     params = {"b": Tensor(np.array([3.0])), "w": Tensor(np.array([1.0, 2.0]))}
@@ -52,9 +53,9 @@ def test_nonfinite_gradient_rejects_step():
     mstate = MomentumState(velocity={"b": np.ones(1)})
     for bad in (np.nan, np.inf, -np.inf):
         grads = {"b": np.array([1.0]), "w": np.array([bad, 0.0])}
-        with pytest.raises(FloatingPointError), np.errstate(invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="'w'"):
             adam_step(params, grads, state)
-        with pytest.raises(FloatingPointError):
+        with pytest.raises(FloatingPointError, match="'w'"):
             momentum_sgd_step(params, grads, mstate)
     assert state.t == 4
     for name in ("w", "b"):
@@ -64,6 +65,28 @@ def test_nonfinite_gradient_rejects_step():
     np.testing.assert_array_equal(mstate.velocity["b"], 1.0)
     np.testing.assert_array_equal(params["w"].data, [1.0, 2.0])
     np.testing.assert_array_equal(params["b"].data, [3.0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_adam_refuses_a_gradient_too_large_to_square():
+    # g * g overflows: v would go inf and freeze w at 1.0 with no error
+    params = {"w": Tensor(np.array([1.0, 2.0]))}
+    state = AdamState(lr=0.1)
+    with pytest.raises(FloatingPointError, match="Adam step on parameter 'w'"):
+        adam_step(params, {"w": np.array([1e200, 1.0])}, state)
+    assert state.t == 0 and not state.m and not state.v
+    np.testing.assert_array_equal(params["w"].data, [1.0, 2.0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_momentum_refuses_an_overflowing_step():
+    # finite gradient, finite velocity 1e308, but p + v overflows
+    params = {"p": Tensor(np.array([1.5e308]))}
+    state = MomentumState(lr=10.0)
+    with pytest.raises(FloatingPointError, match="momentum step on parameter 'p'"):
+        momentum_sgd_step(params, {"p": np.array([-1e307])}, state)
+    assert not state.velocity
+    np.testing.assert_array_equal(params["p"].data, [1.5e308])
 
 
 def test_steps_do_not_mutate_inputs():

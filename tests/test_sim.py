@@ -46,14 +46,9 @@ class TestBodyState:
 
 
 class TestCommand:
-    def test_array_roundtrip(self):
-        u = np.arange(7, dtype=np.float64) / 10
-        cmd = Command.from_array(u)
-        np.testing.assert_array_equal(cmd.as_array(), u)
-
     def test_bad_shape_raises(self):
         with pytest.raises(ValueError):
-            Command.from_array(np.zeros(6))
+            Command(np.zeros(7), 0.0)
 
 
 class TestDeterminism:
